@@ -191,6 +191,9 @@ def pytest_sessionfinish(session, exitstatus):
         # promotions, ship/promotion ledgers, promote/failover/lag
         # percentiles); benchgate's replica budget table audits it
         "replica": dict(_section_extras.get("replica", {})),
+        # the LOC claim deposits its group totals (core, serving,
+        # substrates, tooling), so each run shows its line delta
+        "loc": dict(_section_extras.get("loc", {})),
     }
     ARTIFACTS.mkdir(exist_ok=True)
     (ARTIFACTS / "BENCH_perf.json").write_text(

@@ -17,19 +17,27 @@ whole bench run — the invariants ``repro.tools.benchgate`` audits.
 """
 
 from repro.core.render import render_screen
-from repro.journal import Journal, attach
+from repro.journal import Journal, attach, scan_text
+from repro.journal.recorder import replay
 from repro.journal.recovery import recover
 from repro.tools.install import build_system
-from repro.tools.replaycheck import record_figure, replay_journal
-from repro.tools.servecheck import fig07_stack
+from repro.tools.sessioncheck import fig07_stack
 
 N_APPENDS = 1000
 
 
 def test_perf_journal_roundtrip(benchmark):
     def roundtrip():
-        recorded, text = record_figure(fig07_stack)
-        replayed, shadow, scan = replay_journal(text)
+        recorded = build_system(width=160, height=60)
+        journal = Journal.create(recorded.ns, "/usr/rob/help.journal")
+        attach(recorded.help, journal, ns=recorded.ns)
+        fig07_stack(recorded)
+        journal.flush()
+        scan = scan_text(recorded.ns.read("/usr/rob/help.journal"))
+        assert not scan.torn, scan.problems
+        replayed = build_system(width=160, height=60)
+        attach(replayed.help, Journal(), ns=replayed.ns)  # shadow journal
+        replay(replayed.help, scan.records)
         return (render_screen(recorded.help) == render_screen(replayed.help),
                 len(scan.records))
 

@@ -94,7 +94,9 @@ class _Buffer:
     def put(self, data: bytes) -> None:
         with self._cond:
             if self._closed:
-                raise Closed("pipe closed", path="<pipe>", op="write")
+                # plain OSError, like a socket: a reply flushed to a
+                # peer that hung up is teardown, not a session error
+                raise BrokenPipeError("pipe closed")
             self._data.extend(data)
             self._cond.notify_all()
             notify = self._notify
@@ -206,14 +208,15 @@ class SocketChannel:
             return b""
 
     def try_send(self, data) -> int:
-        """Non-blocking send: bytes the kernel accepted (0 = try later)."""
+        """Non-blocking send: bytes the kernel accepted (0 = try later).
+
+        A dead peer raises the plain OSError: only the reactor calls
+        this, and for it a hung-up peer is teardown, not an error.
+        """
         try:
             return self._sock.send(data)
         except (BlockingIOError, InterruptedError):
             return 0
-        except OSError as exc:
-            raise Closed(f"socket send failed: {exc}",
-                         path="<socket>", op="write") from exc
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -731,7 +734,7 @@ class _Connection:
             if self._is_socket:
                 try:
                     sent = self.channel.try_send(data)
-                except Closed:
+                except OSError:
                     self._start_teardown()
                     return
                 with self._wlock:
@@ -743,7 +746,7 @@ class _Connection:
             else:
                 try:
                     self.channel.send(data)
-                except (Closed, OSError):
+                except OSError:
                     self._start_teardown()
                     return
                 with self._wlock:

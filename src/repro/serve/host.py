@@ -413,8 +413,10 @@ class SessionHost:
         """
         self._killed = True
         self._closing = True
-        self.replica = None
+        # connections first: a write applied after the feed is dropped
+        # must have no live connection left to carry its ack
         self.server.kill()
+        self.replica = None
 
     # -- session lifecycle ------------------------------------------------
 

@@ -476,8 +476,10 @@ class ReplicaPair:
         return self.standby.host, report
 
     def close(self) -> None:
-        self.feed.stop()
+        # the primary first: each live session's drop ships into a
+        # feed that is still running
         self.primary.close()
+        self.feed.stop()
         self.standby.close()
 
     def __enter__(self) -> "ReplicaPair":

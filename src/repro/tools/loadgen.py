@@ -29,11 +29,14 @@ backpressure counters, and the whole record becomes the ``loadgen``
 section of ``BENCH_perf.json`` where :mod:`repro.tools.benchgate`
 enforces hard p99 budgets and an error-rate ceiling.
 
+This module only shapes the traffic: the target is built, and a
+severed user resumed, by :mod:`repro.tools.sessioncheck`, the code the
+acceptance gates drive the same hosts with.
+
 CLI::
 
-    python -m repro.tools.loadgen [--users N] [--shards N] [--workers K]
-                                  [--seed S] [--pipe | --tcp] [--think X]
-                                  [--faults] [--chaos N] [--json]
+    python -m repro.tools.loadgen [--users N] [--shards N] [--seed S]
+                                  [--pipe | --tcp] [--chaos N] [--json]
                                   [--report PATH] [--smoke]
 
 ``--smoke`` is the CI entry: a small fixed-seed fleet driven twice —
@@ -78,9 +81,11 @@ from dataclasses import dataclass
 
 from repro.fs.errors import Busy, FsError
 from repro.fs.faults import Fault, FaultPlan
-from repro.fs.mux import MuxClient, dial, mount_remote
+from repro.fs.mux import MuxClient, mount_remote
 from repro.metrics.counter import MetricsRegistry
-from repro.serve import SessionHost, ShardRouter
+from repro.tools.sessioncheck import (KILL_TIMEOUT, await_counter, connect,
+                                      hosts_of, make_host, record_figures,
+                                      resume, total)
 
 ARTIFACTS = (pathlib.Path(__file__).resolve().parents[3]
              / "bench_artifacts" / "loadgen")
@@ -111,16 +116,14 @@ THINK_MEAN_MS = 200.0
 # re-attach is the "wake" op class.
 WAKE_FRACTION = 0.25
 
-# With --faults, every FAULT_EVERY-th user's session gets a
+# With faults=True, every FAULT_EVERY-th user's session gets a
 # deterministic fault schedule (a storm, in aggregate).
 FAULT_EVERY = 10
 
 _RETRIES = 3  # bounded retry on busy replies (client-side backpressure)
 
-# chaos: feed heartbeat interval (detection = 3 missed beats) and how
-# long a severed user keeps retrying before it counts as unrecovered
+# chaos: feed heartbeat interval (detection = 3 missed beats)
 CHAOS_HEARTBEAT = 0.05
-CHAOS_RECOVER_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,6 @@ def build_models(weights: dict[str, float] | None = None
     traffic of its own; it runs under a throwaway registry so a bench
     or test ledger never inherits the model-building noise.
     """
-    from repro.tools.sessioncheck import record_figures
-
     chosen = DEFAULT_WEIGHTS if weights is None else weights
     with MetricsRegistry("loadgen.models").activate():
         scripts = record_figures()
@@ -325,21 +326,6 @@ class LoadGen:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _make_target(self):
-        kwargs = dict(width=160, height=60, workers=4,
-                      max_live=self.max_live,
-                      plan_for=self._plan_for if self.faults else None)
-        if self.chaos:
-            return ShardRouter(shards=self.shards, replicate=True,
-                               heartbeat_interval=self.chaos_heartbeat,
-                               **kwargs)
-        if self.shards:
-            return ShardRouter(shards=self.shards, **kwargs)
-        return SessionHost(**kwargs)
-
-    def _hosts(self, target) -> list[SessionHost]:
-        return target.hosts if self.shards else [target]
-
     def _plan_for(self, session_id: str) -> FaultPlan | None:
         """The storm schedule: every FAULT_EVERY-th user misbehaves."""
         try:
@@ -353,23 +339,6 @@ class LoadGen:
 
     def _faulted(self, plan: UserPlan) -> bool:
         return self.faults and plan.uid % FAULT_EVERY == 0
-
-    def _counter(self, hosts, name: str) -> int:
-        return sum(host.metrics.counter(name) for host in hosts)
-
-    def _await_counter(self, hosts, name: str, want: int,
-                       timeout: float = 60.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while self._counter(hosts, name) < want:
-            if time.monotonic() > deadline:
-                return False
-            time.sleep(0.005)
-        return True
-
-    def _dial(self, target, addr):
-        if self.transport == "tcp":
-            return dial(*addr)
-        return target.pipe()
 
     # -- one user's visit -------------------------------------------------
 
@@ -406,7 +375,7 @@ class LoadGen:
         attach_op = "wake" if returning else "attach"
         client = self._timed(
             attach_op,
-            lambda: MuxClient(self._dial(target, addr), aname=plan.aname,
+            lambda: MuxClient(connect(target, addr), aname=plan.aname,
                               uname=f"lg{plan.uid}"))
         with self._lock:
             self._attached += 1
@@ -443,58 +412,37 @@ class LoadGen:
 
     def _chaos_visit(self, target, addr, plan: UserPlan,
                      lines: tuple[str, ...]) -> None:
-        """One visit that survives its shard being killed under it."""
+        """One visit that survives its shard being killed under it.
+
+        A severed user resumes on the promoted standby; every write
+        the dead primary acknowledged MUST be held there (that is the
+        sync-replication contract; a shortfall counts into
+        ``loadgen.chaos.acked_lost``, the zero-tolerance SLO).
+        """
         acked = [0]
         try:
             self._visit(target, addr, plan, lines, returning=False,
                         acked=acked)
+            return
         except (FsError, OSError):
             self.metrics.incr("loadgen.chaos.severed")
-            self._recover(target, addr, plan, lines, acked[0])
-
-    def _recover(self, target, addr, plan: UserPlan,
-                 lines: tuple[str, ...], acked: int) -> None:
-        """Re-attach after a kill and finish the visit on the standby.
-
-        Retries until the router repoints the slot at the promoted
-        host, then reads the session's ``inputs`` file — how many
-        input records the promoted journal holds.  Every acknowledged
-        write MUST be covered (that is the sync-replication contract;
-        a shortfall counts into ``loadgen.chaos.acked_lost``, the
-        zero-tolerance SLO) and only the unacknowledged tail replays.
-        """
-        deadline = time.monotonic() + CHAOS_RECOVER_TIMEOUT
-        while time.monotonic() < deadline:
-            client = None
-            try:
-                start = time.perf_counter()
-                client = MuxClient(self._dial(target, addr),
-                                   aname=plan.aname, uname=f"lg{plan.uid}")
-                self.metrics.observe_op(
-                    "loadgen.op_us", "recover",
-                    (time.perf_counter() - start) * 1e6)
-                remote = mount_remote(client)
-                held = int(remote.lookup("inputs").data.strip() or "0")
-                if held < acked:
-                    self.metrics.incr("loadgen.chaos.acked_lost",
-                                      acked - held)
-                    self._problem(
-                        f"{plan.aname}: standby holds {held} inputs but "
-                        f"{acked} writes were acknowledged")
-                with remote.lookup("input").open("a") as sink:
-                    for line in lines[held:]:
-                        sink.write(line)
-                if not remote.lookup("screen").data:
-                    self._problem(f"{plan.aname}: recovered screen empty")
-                self.metrics.incr("loadgen.chaos.recovered")
-                return
-            except (FsError, OSError):
-                time.sleep(0.05)
-            finally:
-                if client is not None:
-                    client.close()
-        self.metrics.incr("loadgen.chaos.unrecovered")
-        self._problem(f"{plan.aname}: never recovered after the kill")
+        start = time.perf_counter()
+        try:
+            held, screen = resume(target, addr, plan.aname, lines,
+                                  uname=f"lg{plan.uid}")
+        except (FsError, OSError):
+            self.metrics.incr("loadgen.chaos.unrecovered")
+            self._problem(f"{plan.aname}: never recovered after the kill")
+            return
+        self.metrics.observe_op("loadgen.op_us", "recover",
+                                (time.perf_counter() - start) * 1e6)
+        if held < acked[0]:
+            self.metrics.incr("loadgen.chaos.acked_lost", acked[0] - held)
+            self._problem(f"{plan.aname}: standby holds {held} inputs but "
+                          f"{acked[0]} writes were acknowledged")
+        if not screen:
+            self._problem(f"{plan.aname}: recovered screen empty")
+        self.metrics.incr("loadgen.chaos.recovered")
 
     def _chaos_controller(self, target, total_writes: int) -> None:
         """Kill ``chaos`` distinct primaries at seeded soak points.
@@ -515,7 +463,7 @@ class LoadGen:
             target.kill_shard(index)
             self.metrics.incr("loadgen.chaos.kills")
             pair = target.pairs[index]
-            deadline = time.monotonic() + CHAOS_RECOVER_TIMEOUT
+            deadline = time.monotonic() + KILL_TIMEOUT
             while not pair.promoted and time.monotonic() < deadline:
                 time.sleep(0.01)
             if not pair.promoted:
@@ -562,33 +510,38 @@ class LoadGen:
         by_name = {m.name: m for m in models}
         plans = schedule(self.seed, self.users, models)
         crc = schedule_crc(plans)
+        replica = ({"replicate": True,
+                    "heartbeat_interval": self.chaos_heartbeat}
+                   if self.chaos else {})
+        target = make_host(self.shards, workers=4, max_live=self.max_live,
+                           plan_for=self._plan_for if self.faults else None,
+                           **replica)
         if self.chaos:
-            return self._run_chaos(plans, by_name, crc)
-        target = self._make_target()
-        hosts = self._hosts(target)
+            return self._run_chaos(target, plans, by_name, crc)
+        hosts = hosts_of(target)
         addr = target.listen() if self.transport == "tcp" else None
         start = time.perf_counter()
         try:
             # phase 1: every user visits once; each drop hibernates
             self._drive(target, addr, plans, by_name, returning=False)
-            if not self._await_counter(hosts, "host.sessions.hibernated",
-                                       self._attached):
+            if not await_counter(hosts, "host.sessions.hibernated",
+                                 self._attached):
                 self._problem(
                     f"quiesce timeout: "
-                    f"{self._counter(hosts, 'host.sessions.hibernated')} "
+                    f"{total(hosts, 'host.sessions.hibernated')} "
                     f"of {self._attached} drops hibernated")
             # phase 2: the wake cohort returns to parked sessions
             cohort = [p for p in plans if p.wake]
             self._drive(target, addr, cohort, by_name, returning=True)
-            if not self._await_counter(hosts, "host.sessions.hibernated",
-                                       self._attached):
+            if not await_counter(hosts, "host.sessions.hibernated",
+                                 self._attached):
                 self._problem("quiesce timeout after the wake wave")
         finally:
             duration = time.perf_counter() - start
             self._cleanup(target, hosts)
         return self._report(target, hosts, duration, crc)
 
-    def _run_chaos(self, plans: list[UserPlan],
+    def _run_chaos(self, target, plans: list[UserPlan],
                    by_name: dict[str, TrafficModel],
                    crc: str) -> LoadReport:
         """The failover soak: one visit wave with seeded kills under it.
@@ -604,7 +557,6 @@ class LoadGen:
         process-default registry a clean bench is balancing.
         """
         total_writes = sum(len(by_name[p.model].lines) for p in plans)
-        target = self._make_target()
         addr = target.listen() if self.transport == "tcp" else None
         controller = threading.Thread(
             target=self._chaos_controller, args=(target, total_writes),
@@ -615,37 +567,16 @@ class LoadGen:
             self._drive(target, addr, plans, by_name, returning=False)
         finally:
             self._chaos_stop.set()
-            controller.join(timeout=2 * CHAOS_RECOVER_TIMEOUT)
+            controller.join(timeout=2 * KILL_TIMEOUT)
             duration = time.perf_counter() - start
         try:
             section = self._chaos_section(target, duration)
         finally:
             target.close()
-        ops = {op: self.metrics.counter(f"loadgen.ops.{op}")
-               for op in OP_CLASSES if op != "apply"}
-        ops["apply"] = 0
-        total = sum(ops.values())
-        op_us = {op: self.metrics.histogram(f"loadgen.op_us.{op}") or {}
-                 for op in OP_CLASSES if op != "apply"}
-        op_us["apply"] = {}
-        errors = {name.removeprefix("loadgen.errors."): value
-                  for name, value in
-                  self.metrics.counters("loadgen.errors.").items()}
-        unexpected = sum(v for k, v in errors.items() if k != "faulted")
-        return LoadReport(
-            users=self.users, shards=self.shards, seed=self.seed,
-            transport=self.transport, workers=self.workers,
-            duration_s=duration, ops=ops, op_us=op_us,
-            apply_us_by_kind={}, errors=errors,
-            error_rate=(unexpected / total) if total else 0.0,
+        return self._load_report(
+            duration, crc, target.hosts, apply_stats={}, by_kind={},
             backpressure={"busy": self.metrics.counter(
-                "loadgen.backpressure.busy")},
-            retries={name.removeprefix("loadgen.retry."): value
-                     for name, value in
-                     self.metrics.counters("loadgen.retry.").items()},
-            max_live=self.max_live,
-            live_peak=max(host.live_peak for host in target.hosts),
-            schedule_crc=crc, problems=list(self.problems), chaos=section)
+                "loadgen.backpressure.busy")}, chaos=section)
 
     def _chaos_section(self, target, duration: float) -> dict:
         """The replication verdicts, aggregated across every ledger the
@@ -740,43 +671,49 @@ class LoadGen:
         for host in hosts:
             self.metrics.merge(host.metrics)
 
+        apply_stats = full.histogram("session.apply_us") or {}
+        applied = int(apply_stats.get("count", 0))
+        self.metrics.incr("loadgen.ops.apply", applied)
+        self.metrics.incr("loadgen.ops.total", applied)
+        prefix = "session.apply_us."
+        return self._load_report(
+            duration, crc, hosts, apply_stats=apply_stats,
+            by_kind={name.removeprefix(prefix): stats
+                     for name, stats in full.histograms(prefix).items()},
+            backpressure={
+                "busy": self.metrics.counter("loadgen.backpressure.busy"),
+                "paused": self.metrics.counter("wire.backpressure.paused"),
+                "resumed": self.metrics.counter(
+                    "wire.backpressure.resumed"),
+            })
+
+    def _load_report(self, duration: float, crc: str, hosts, *,
+                     apply_stats: dict, by_kind: dict, backpressure: dict,
+                     chaos: dict | None = None) -> LoadReport:
         ops = {op: self.metrics.counter(f"loadgen.ops.{op}")
                for op in OP_CLASSES if op != "apply"}
-        apply_stats = full.histogram("session.apply_us") or {}
         ops["apply"] = int(apply_stats.get("count", 0))
-        total = sum(ops.values())
-        self.metrics.incr("loadgen.ops.apply", ops["apply"])
-        self.metrics.incr("loadgen.ops.total", ops["apply"])
-
         op_us = {op: self.metrics.histogram(f"loadgen.op_us.{op}") or {}
                  for op in OP_CLASSES if op != "apply"}
         op_us["apply"] = apply_stats
-        prefix = "session.apply_us."
-        by_kind = {name.removeprefix(prefix): stats
-                   for name, stats in full.histograms(prefix).items()}
-
         errors = {name.removeprefix("loadgen.errors."): value
                   for name, value in
                   self.metrics.counters("loadgen.errors.").items()}
         unexpected = sum(v for k, v in errors.items() if k != "faulted")
-        backpressure = {
-            "busy": self.metrics.counter("loadgen.backpressure.busy"),
-            "paused": self.metrics.counter("wire.backpressure.paused"),
-            "resumed": self.metrics.counter("wire.backpressure.resumed"),
-        }
-        retries = {name.removeprefix("loadgen.retry."): value
-                   for name, value in
-                   self.metrics.counters("loadgen.retry.").items()}
+        done = sum(ops.values())
         return LoadReport(
             users=self.users, shards=self.shards, seed=self.seed,
             transport=self.transport, workers=self.workers,
             duration_s=duration, ops=ops, op_us=op_us,
             apply_us_by_kind=by_kind, errors=errors,
-            error_rate=(unexpected / total) if total else 0.0,
-            backpressure=backpressure, retries=retries,
+            error_rate=(unexpected / done) if done else 0.0,
+            backpressure=backpressure,
+            retries={name.removeprefix("loadgen.retry."): value
+                     for name, value in
+                     self.metrics.counters("loadgen.retry.").items()},
             max_live=self.max_live,
             live_peak=max(host.live_peak for host in hosts),
-            schedule_crc=crc, problems=list(self.problems))
+            schedule_crc=crc, problems=list(self.problems), chaos=chaos)
 
 
 def validate(report: LoadReport) -> list[str]:
@@ -812,27 +749,21 @@ def validate(report: LoadReport) -> list[str]:
 
 
 def _write_artifacts(tag: str, report: LoadReport,
-                     journals: dict[str, str],
-                     problems: list[str]) -> pathlib.Path:
-    """The failure record CI uploads: report, verdicts, journals."""
-    outdir = ARTIFACTS
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"report-{tag}.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n")
-    (outdir / f"problems-{tag}.txt").write_text(
-        "".join(f"{p}\n" for p in problems) or "no problems recorded\n")
-    jdir = outdir / "journals"
-    jdir.mkdir(exist_ok=True)
-    for sid, text in journals.items():
-        (jdir / f"{tag}.{sid}.journal").write_text(text)
-    return outdir
-
-
-def _write_json_report(tag: str, report: LoadReport) -> pathlib.Path:
-    """The machine-readable artifact ``--json`` asks for."""
+                     journals: dict[str, str] | None = None,
+                     problems: list[str] | None = None) -> pathlib.Path:
+    """Write ``report-<tag>.json`` (what ``--json`` asks for); with
+    *problems*, also the failure record CI uploads: the verdicts and
+    the sampled journals."""
     ARTIFACTS.mkdir(parents=True, exist_ok=True)
     path = ARTIFACTS / f"report-{tag}.json"
     path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    if problems is not None:
+        (ARTIFACTS / f"problems-{tag}.txt").write_text(
+            "".join(f"{p}\n" for p in problems) or "no problems recorded\n")
+        jdir = ARTIFACTS / "journals"
+        jdir.mkdir(exist_ok=True)
+        for sid, text in (journals or {}).items():
+            (jdir / f"{tag}.{sid}.journal").write_text(text)
     return path
 
 
@@ -849,22 +780,21 @@ def smoke(users: int, shards: int, seed: int, transport: str,
         reports[tag] = report
         if json_out:
             print(f"loadgen: report-{tag}.json -> "
-                  f"{_write_json_report(tag, report)}")
+                  f"{_write_artifacts(tag, report)}")
         problems = validate(report)
         for problem in problems:
             print(f"loadgen: {tag}: {problem}", file=sys.stderr)
         if problems:
             failed = True
-            outdir = _write_artifacts(tag, report, lg.journal_samples,
-                                      problems)
-            print(f"loadgen: {tag}: failure artifacts in {outdir}",
+            _write_artifacts(tag, report, lg.journal_samples, problems)
+            print(f"loadgen: {tag}: failure artifacts in {ARTIFACTS}",
                   file=sys.stderr)
     plain, sharded = reports["plain"], reports[f"shards{shards}"]
     if plain.ops != sharded.ops:
         failed = True
         print(f"loadgen: op-class counts diverge across topologies: "
               f"plain={plain.ops} shards={sharded.ops}", file=sys.stderr)
-        _write_artifacts("divergence", sharded, {}, [
+        _write_artifacts("divergence", sharded, problems=[
             f"plain ops:   {plain.ops}",
             f"sharded ops: {sharded.ops}"])
     if plain.schedule_crc != sharded.schedule_crc:
@@ -887,41 +817,28 @@ def main(argv: list[str] | None = None) -> int:
     users = 0
     shards = 0
     seed = 20260808
-    workers = 8
     transport = "tcp"
-    think = 0.0
-    faults = False
     chaos = 0
     json_out = False
     run_smoke = False
     report_path: str | None = None
-    usage = ("usage: loadgen [--users N] [--shards N] [--workers K] "
-             "[--seed S] [--pipe | --tcp] [--think X] [--faults] "
-             "[--chaos N] [--json] [--report PATH] [--smoke]")
+    usage = ("usage: loadgen [--users N] [--shards N] [--seed S] "
+             "[--pipe | --tcp] [--chaos N] [--json] [--report PATH] "
+             "[--smoke]")
     while args:
         arg = args.pop(0)
         if arg == "--users" and args and args[0].isdigit():
             users = int(args.pop(0))
         elif arg == "--shards" and args and args[0].isdigit():
             shards = int(args.pop(0))
-        elif arg == "--workers" and args and args[0].isdigit():
-            workers = int(args.pop(0))
         elif arg == "--seed" and args and args[0].isdigit():
             seed = int(args.pop(0))
         elif arg == "--chaos" and args and args[0].isdigit():
             chaos = int(args.pop(0))
-        elif arg == "--think" and args:
-            try:
-                think = float(args.pop(0))
-            except ValueError:
-                print(usage, file=sys.stderr)
-                return 2
         elif arg == "--pipe":
             transport = "pipe"
         elif arg == "--tcp":
             transport = "tcp"
-        elif arg == "--faults":
-            faults = True
         elif arg == "--json":
             json_out = True
         elif arg == "--smoke":
@@ -938,8 +855,7 @@ def main(argv: list[str] | None = None) -> int:
         shards = max(chaos, 4)
     try:
         lg = LoadGen(users=users or 100, shards=shards, seed=seed,
-                     workers=workers, transport=transport,
-                     think_scale=think, faults=faults, chaos=chaos)
+                     transport=transport, chaos=chaos)
     except ValueError as exc:
         print(f"loadgen: {exc}", file=sys.stderr)
         return 2
@@ -950,7 +866,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(text, end="")
     if json_out:
-        _write_json_report("chaos" if chaos else "run", report)
+        _write_artifacts("chaos" if chaos else "run", report)
     problems = validate(report)
     for problem in problems:
         print(f"loadgen: {problem}", file=sys.stderr)

@@ -8,11 +8,15 @@ in a worker, and a reader slow enough to fill the write queue and
 trip backpressure.
 """
 
+import socket
 import threading
 import time
 
+import pytest
+
 from repro.fs import wire
-from repro.fs.mux import FrameReader, WireServer, channel_pair, dial
+from repro.fs.mux import (FrameReader, SocketChannel, WireServer,
+                          channel_pair, dial)
 from repro.fs.server import SynthDir, SynthFile
 from repro.fs.vfs import VFS
 from repro.metrics.counter import MetricsRegistry
@@ -112,6 +116,24 @@ class TestDisconnectMidRpc:
         assert not handle.is_alive()
         server.close()
         assert metrics.counter("mux.inflight") == 0
+
+    @pytest.mark.parametrize("transport", ["pipe", "socket"])
+    def test_reply_to_a_hung_up_peer_books_no_error(self, transport):
+        """The reactor's send to a peer that already hung up is
+        teardown: a plain OSError, never a taxonomy error counted in
+        the ledger of whichever registry the reactor thread holds."""
+        if transport == "pipe":
+            peer, server_end = channel_pair()
+            send = server_end.send
+        else:
+            peer, sock = socket.socketpair()
+            send = SocketChannel(sock).try_send
+        peer.close()
+        metrics = MetricsRegistry("host")
+        with metrics.activate(), pytest.raises(OSError):
+            for _ in range(64):  # a socket may buffer the first sends
+                send(b"late reply" * 1024)
+        assert metrics.counters("fs.error.") == {}
 
 
 class TestSlowReaderBackpressure:

@@ -143,7 +143,7 @@ class TestCrashMatrix:
         assert plan.injected == 1  # one crash; the rest is deadness
 
     def test_journal_crash_recovery_through_the_matrix(self):
-        """The replaycheck scenario as a tier-2 test: tear the journal
+        """The sessioncheck crash gate as a tier-2 test: tear the journal
         mid-append, then recover byte-identically from the torn file."""
         from repro.journal import Journal, attach
         from repro.journal.recovery import recover

@@ -194,6 +194,34 @@ class TestFailover:
         with pytest.raises(Busy):
             pair.standby.promote()
 
+    def test_write_racing_the_kill_is_never_acked_unshipped(
+            self, pair, monkeypatch):
+        """One write lands inside ``kill()``, just before the
+        connections are cut: it either ships to the standby before its
+        ack or fails — an acknowledged write the promoted standby lacks
+        is the one outcome sync replication forbids."""
+        client, ns = _attach(pair.primary, "alice")
+        ns.append("/s/input", _newwin("/tmp/note", "hello"))
+        acked = int(ns.read("/s/inputs"))
+        cut = pair.primary.server.kill
+
+        def write_then_cut():
+            nonlocal acked
+            try:
+                ns.append("/s/input", _newwin("/tmp/late", "racing"))
+                acked += 1
+            except (FsError, OSError):
+                pass  # refused: never acknowledged
+            cut()
+
+        monkeypatch.setattr(pair.primary.server, "kill", write_then_cut)
+        pair.kill_primary()
+        pair.promote()
+        client2, ns2 = _attach(pair.standby.host, "alice")
+        assert int(ns2.read("/s/inputs")) >= acked
+        client2.close()
+        client.close()
+
     def test_killed_primary_rejects_traffic(self, pair):
         client, ns = _attach(pair.primary, "alice")
         pair.kill_primary()
@@ -228,6 +256,23 @@ class TestRouterFailover:
             client2.close()
         finally:
             router.close()
+
+    def test_close_under_live_connections_audits_clean(self):
+        """Each live session's drop ships before its feed stops, so
+        closing a replicated router books no session error anywhere."""
+        router = ShardRouter(shards=2, replicate=True,
+                             heartbeat_interval=HEARTBEAT)
+        clients = []
+        try:
+            for name in ("alice", "bob", "carol", "dave"):
+                client, ns = _attach(router, name)
+                ns.append("/s/input", _newwin("/tmp/note", name))
+                clients.append(client)
+        finally:
+            router.close()
+        assert router.audit() == []
+        for client in clients:
+            client.close()
 
     def test_replicate_requires_journalling(self):
         with pytest.raises(ValueError):

@@ -240,9 +240,17 @@ class TestControlFlow:
         assert run(sh, "for(f in *.c) echo $f").stdout == "a.c\nb.c\n"
 
     def test_while_loop(self, sh):
-        src = "x=(a a a); while(! ~ $#x 0) { echo $#x; x=`{echo $x | sed 's/a //'} }"
+        src = "x=(a a a); while(! ~ $#x 0) { echo $#x; x=`{echo $x | sed 's/a *//'} }"
         result = run(sh, src)
-        assert result.stdout.startswith("3\n2\n1\n")
+        assert result.stdout == "3\n2\n1\n"
+        assert result.stderr == ""
+
+    def test_while_loop_is_capped(self, sh, monkeypatch):
+        monkeypatch.setattr("repro.shell.interp.MAX_LOOP", 5)
+        result = run(sh, "while(true) echo spin")
+        assert result.stdout == "spin\n" * 5
+        assert "while loop ran too long" in result.stderr
+        assert result.status != 0
 
     def test_switch(self, sh):
         src = """service=terminal

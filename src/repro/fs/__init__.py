@@ -24,7 +24,7 @@ package provides that substrate in-process:
   frames with size prefixes, carrying the error taxonomy in
   ``Rerror`` replies.
 - :mod:`repro.fs.mux` — multiplexed service over byte transports
-  (in-memory pipes, TCP sockets): a concurrent
+  (in-process socketpairs, TCP sockets): a concurrent
   :class:`~repro.fs.mux.WireServer`, a tag-multiplexing
   :class:`~repro.fs.mux.MuxClient`, and ``Remote*`` proxies so a
   remote server mounts into a local namespace transparently.

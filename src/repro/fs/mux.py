@@ -10,11 +10,13 @@ into a local namespace — ``help`` and the shell run unchanged against
 a mounted remote ``/mnt/help``, which is the paper's whole point about
 the UI being a file server.
 
-Transports are anything with ``send``/``recv``/``close``:
-:func:`channel_pair` builds an in-memory byte pipe (optionally with a
-``max_chunk`` so every read is short, exercising frame reassembly),
-and :meth:`WireServer.listen` / :func:`dial` speak the same frames
-over real TCP sockets.
+Clients take any channel with ``send``/``recv``/``close``.  Every
+server-side channel is a socket: :func:`channel_pair` returns the two
+ends of a ``socket.socketpair()`` (optionally with a ``max_chunk`` so
+every read is short, exercising frame reassembly), and
+:meth:`WireServer.listen` / :func:`dial` speak the same frames over
+TCP.  So the server's reactor selects on one fd kind, and in-process
+channels get the same write-queue backpressure as TCP.
 
 Flow control: the client bounds its own outstanding requests with a
 semaphore, and the server protects itself independently — a connection
@@ -61,7 +63,7 @@ _RECV_SIZE = 1 << 16
 
 # Per-connection write-queue watermarks: above _HIGH_WATER queued
 # output the reactor stops reading that connection (the client gets
-# TCP backpressure instead of an unbounded server-side queue); reads
+# socket backpressure instead of an unbounded server-side queue); reads
 # resume once the queue drains below _LOW_WATER.
 _HIGH_WATER = 1 << 20
 _LOW_WATER = 1 << 18
@@ -70,127 +72,17 @@ _LOW_WATER = 1 << 18
 # -- transports --------------------------------------------------------------
 
 
-class _Buffer:
-    """One direction of an in-memory pipe: a byte queue with blocking.
-
-    A ``notify`` hook makes the buffer reactor-friendly: whoever owns
-    the reading end can register a callback fired after every put (and
-    on close), and drain with :meth:`get_nowait` instead of blocking.
-    """
-
-    def __init__(self) -> None:
-        self._data = bytearray()
-        self._closed = False
-        self._cond = threading.Condition()
-        self._notify = None
-
-    def set_notify(self, fn) -> None:
-        with self._cond:
-            self._notify = fn
-            fire = bool(self._data) or self._closed
-        if fire and fn is not None:
-            fn()
-
-    def put(self, data: bytes) -> None:
-        with self._cond:
-            if self._closed:
-                # plain OSError, like a socket: a reply flushed to a
-                # peer that hung up is teardown, not a session error
-                raise BrokenPipeError("pipe closed")
-            self._data.extend(data)
-            self._cond.notify_all()
-            notify = self._notify
-        if notify is not None:
-            notify()
-
-    def get(self, n: int) -> bytes:
-        with self._cond:
-            while not self._data and not self._closed:
-                self._cond.wait()
-            if not self._data:
-                return b""
-            out = bytes(self._data[:n])
-            del self._data[:n]
-            return out
-
-    def get_nowait(self, n: int) -> bytes | None:
-        """Up to *n* buffered bytes; b"" at EOF; None when empty but open."""
-        with self._cond:
-            if self._data:
-                out = bytes(self._data[:n])
-                del self._data[:n]
-                return out
-            return b"" if self._closed else None
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-            notify = self._notify
-        if notify is not None:
-            notify()
-
-
-class PipeChannel:
-    """One endpoint of an in-memory bidirectional byte pipe.
-
-    With ``max_chunk`` set, every receive returns at most that many
-    bytes — a deterministic short read, so framing code can prove it
-    reassembles messages split at arbitrary byte boundaries.
-    """
-
-    def __init__(self, rx: _Buffer, tx: _Buffer,
-                 max_chunk: int | None = None) -> None:
-        self._rx = rx
-        self._tx = tx
-        self.max_chunk = max_chunk
-
-    def send(self, data: bytes) -> None:
-        # short *writes* at the transport: hand the peer one chunk at
-        # a time so a reader can wake mid-frame
-        step = self.max_chunk or len(data) or 1
-        for i in range(0, len(data), step):
-            self._tx.put(data[i:i + step])
-
-    def recv(self, n: int = _RECV_SIZE) -> bytes:
-        if self.max_chunk is not None:
-            n = min(n, self.max_chunk)
-        return self._rx.get(n)
-
-    def try_recv(self, n: int = _RECV_SIZE) -> bytes | None:
-        """Non-blocking receive: None = nothing buffered, b"" = EOF."""
-        if self.max_chunk is not None:
-            n = min(n, self.max_chunk)
-        return self._rx.get_nowait(n)
-
-    def set_notify(self, fn) -> None:
-        """Fire *fn* whenever bytes (or EOF) become available to recv."""
-        self._rx.set_notify(fn)
-
-    def close(self) -> None:
-        self._rx.close()
-        self._tx.close()
-
-
-def channel_pair(max_chunk: int | None = None
-                 ) -> tuple[PipeChannel, PipeChannel]:
-    """Two connected in-memory endpoints (client end, server end)."""
-    a, b = _Buffer(), _Buffer()
-    return PipeChannel(a, b, max_chunk), PipeChannel(b, a, max_chunk)
-
-
 class SocketChannel:
-    """The same interface over a connected TCP socket."""
+    """A byte channel over a connected stream socket: TCP, or one end
+    of the ``socketpair`` an in-process :func:`channel_pair` makes."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
 
     def send(self, data: bytes) -> None:
-        try:
-            self._sock.sendall(data)
-        except OSError as exc:
-            raise Closed(f"socket send failed: {exc}",
-                         path="<socket>", op="write") from exc
+        """A dead peer raises the plain OSError; the client's rpc
+        reports it to its caller as IOFault."""
+        self._sock.sendall(data)
 
     def recv(self, n: int = _RECV_SIZE) -> bytes:
         try:
@@ -230,6 +122,32 @@ class SocketChannel:
         except OSError:
             pass
         self._sock.close()
+
+
+class _ChunkedChannel(SocketChannel):
+    """A socketpair end whose every receive returns at most
+    ``max_chunk`` bytes — a deterministic short read, so framing code
+    can prove it reassembles messages split at arbitrary byte
+    boundaries."""
+
+    def __init__(self, sock: socket.socket, max_chunk: int) -> None:
+        super().__init__(sock)
+        self.max_chunk = max_chunk
+
+    def recv(self, n: int = _RECV_SIZE) -> bytes:
+        return super().recv(min(n, self.max_chunk))
+
+    def try_recv(self, n: int = _RECV_SIZE) -> bytes | None:
+        return super().try_recv(min(n, self.max_chunk))
+
+
+def channel_pair(max_chunk: int | None = None
+                 ) -> tuple[SocketChannel, SocketChannel]:
+    """Two connected in-process endpoints (client end, server end)."""
+    a, b = socket.socketpair()
+    if max_chunk is None:
+        return SocketChannel(a), SocketChannel(b)
+    return _ChunkedChannel(a, max_chunk), _ChunkedChannel(b, max_chunk)
 
 
 def dial(host: str, port: int) -> SocketChannel:
@@ -283,12 +201,11 @@ class FrameReader:
 
 
 class _Reactor:
-    """One thread, one selector: owns every server-side channel.
+    """One thread, one selector: owns every server-side socket.
 
-    Sockets (connections and listeners) register with the selector
-    directly; in-memory pipes integrate through :meth:`mark_ready`,
-    fired by the pipe's notify hook, so both transport kinds are
-    driven by the same loop.  Other threads hand work to the loop with
+    Connections and listeners all register with the selector — an
+    in-process channel is a socketpair end, so there is one fd kind
+    and one loop path.  Other threads hand work to the loop with
     :meth:`submit`; a socketpair waker interrupts ``select``.
     """
 
@@ -306,7 +223,6 @@ class _Reactor:
         self._selector.register(self._wake_r, selectors.EVENT_READ, None)
         self._lock = threading.Lock()
         self._commands: deque = deque()
-        self._ready: set = set()
         self._pending_wake = False
         self._running = True
         self._thread = threading.Thread(target=self._run, daemon=True,
@@ -324,13 +240,8 @@ class _Reactor:
             self._commands.append(fn)
         self._wake()
 
-    def mark_ready(self, conn) -> None:
-        """A pipe connection has bytes (or EOF) waiting."""
-        with self._lock:
-            self._ready.add(conn)
-        self._wake()
-
     def stop(self) -> None:
+        """End the loop; commands submitted before this still run."""
         with self._lock:
             if not self._running:
                 return
@@ -338,6 +249,31 @@ class _Reactor:
         self._wake()
         if not self.on_thread():
             self._thread.join(timeout=5)
+
+    def listen(self, host: str, port: int, adopt) -> socket.socket:
+        """Accept TCP connections on *host*:*port* (0 = ephemeral).
+
+        Every accepted socket goes to ``adopt(SocketChannel)`` on the
+        reactor thread.  Returns the listening socket; :meth:`unlisten`
+        closes it.
+        """
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((host, port))
+        sock.listen(128)
+        sock.setblocking(False)
+
+        def accept_ready(mask: int) -> None:
+            while True:
+                try:
+                    client, _addr = sock.accept()
+                except OSError:
+                    return  # drained, or the listener closed
+                adopt(SocketChannel(client))
+
+        self.submit(lambda: self.register(sock, selectors.EVENT_READ,
+                                          accept_ready))
+        return sock
 
     def _wake(self) -> None:
         with self._lock:
@@ -360,6 +296,14 @@ class _Reactor:
     def unregister(self, fileobj) -> None:
         self._selector.unregister(fileobj)
 
+    def unlisten(self, sock: socket.socket) -> None:
+        """Stop accepting on *sock* and close it."""
+        try:
+            self.unregister(sock)
+        except (KeyError, ValueError, OSError):
+            pass
+        sock.close()
+
     # -- the loop ---------------------------------------------------------
 
     def _run(self) -> None:
@@ -371,10 +315,8 @@ class _Reactor:
 
     def _run_loop(self) -> None:
         try:
-            while True:
-                with self._lock:
-                    if not self._running:
-                        break
+            running = True
+            while running:
                 events = self._selector.select()
                 for key, mask in events:
                     if key.data is None:  # the waker
@@ -393,22 +335,15 @@ class _Reactor:
                 while True:
                     with self._lock:
                         if not self._commands:
+                            # checked with the queue empty, so a stop
+                            # never strands a command submitted before it
+                            running = self._running
                             break
                         fn = self._commands.popleft()
                     try:
                         fn()
                     except Exception:
                         pass
-                while True:
-                    with self._lock:
-                        if not self._ready:
-                            break
-                        ready, self._ready = self._ready, set()
-                    for conn in ready:
-                        try:
-                            conn.on_pipe_ready()
-                        except Exception:
-                            pass
         finally:
             try:
                 self._selector.close()
@@ -493,7 +428,6 @@ class _Connection:
         self._svc_running = False
         self._paused_attach = False
         self._paused_write = False
-        self._is_socket = hasattr(channel, "fileno")
         self._events = 0                    # current selector mask
         self._eof = False
         self._torn = False
@@ -513,23 +447,13 @@ class _Connection:
     def _start(self) -> None:
         if self._torn:
             return
-        if self._is_socket:
-            self.channel.setblocking(False)
-            self._update_events()
-        else:
-            self.channel.set_notify(self._notify_pipe)
+        self.channel.setblocking(False)
+        self._update_events()
         if self._rbuf:
             # bytes a router peeked on our behalf still count as input
             with self._bind():
                 incr("wire.bytes.in", len(self._rbuf))
             self._process()
-
-    def _notify_pipe(self) -> None:  # any thread (the pipe's writer)
-        self.reactor.mark_ready(self)
-
-    def on_pipe_ready(self) -> None:
-        if not self._torn:
-            self._on_readable()
 
     def _on_io(self, mask: int) -> None:
         if mask & selectors.EVENT_WRITE:
@@ -551,10 +475,7 @@ class _Connection:
             self._rbuf += chunk
             got += len(chunk)
             if got >= _RECV_SIZE * 8:
-                # bound one burst; re-arm so the rest is not stranded
-                if not self._is_socket:
-                    self.reactor.mark_ready(self)
-                break
+                break  # bound one burst; the selector re-fires for the rest
         if got:
             with self._bind():
                 incr("wire.bytes.in", got)
@@ -584,7 +505,7 @@ class _Connection:
                         if self._dispatch(msg):
                             stop = True
                             break
-                        if (self._is_socket and not self._paused_write
+                        if (not self._paused_write
                                 and self._wsize >= _HIGH_WATER):
                             # the peer is not reading its replies: stop
                             # parsing (and reading) until the queue drains
@@ -731,28 +652,18 @@ class _Connection:
                         data = b"".join(parts)
             if data is None:
                 break
-            if self._is_socket:
-                try:
-                    sent = self.channel.try_send(data)
-                except OSError:
-                    self._start_teardown()
-                    return
+            try:
+                sent = self.channel.try_send(data)
+            except OSError:
+                self._start_teardown()
+                return
+            with self._wlock:
+                self._wsize -= sent
+            if sent < len(data):
                 with self._wlock:
-                    self._wsize -= sent
-                if sent < len(data):
-                    with self._wlock:
-                        self._wbuf.appendleft(bytes(data[sent:]))
-                    break  # kernel buffer full: wait for EVENT_WRITE
-            else:
-                try:
-                    self.channel.send(data)
-                except OSError:
-                    self._start_teardown()
-                    return
-                with self._wlock:
-                    self._wsize -= len(data)
-        if (self._is_socket and not self._paused_write
-                and self._wsize >= _HIGH_WATER):
+                    self._wbuf.appendleft(bytes(data[sent:]))
+                break  # kernel buffer full: wait for EVENT_WRITE
+        if not self._paused_write and self._wsize >= _HIGH_WATER:
             # worker replies outran the peer between its reads; the
             # dispatch-time check in _process never sees that, so the
             # write path must trip the pause itself
@@ -768,7 +679,7 @@ class _Connection:
             self.reactor.submit(self._process)
 
     def _update_events(self) -> None:  # reactor thread only
-        if not self._is_socket or self._torn:
+        if self._torn:
             return
         mask = 0
         if not self._paused_write and not self._eof:
@@ -931,7 +842,7 @@ class _Connection:
         self._torn = True
         with self._wlock:
             self.closed = True
-        if self._is_socket and self._events:
+        if self._events:
             try:
                 self.reactor.unregister(self.channel)
             except (KeyError, ValueError, OSError):
@@ -971,7 +882,7 @@ class WireServer:
     """Serve a node tree to any number of connections over any channel.
 
     The server side is a non-blocking event loop: one :class:`_Reactor`
-    thread owns every socket and pipe, parses frames zero-copy out of
+    thread owns every connection's socket, parses frames zero-copy out of
     per-connection receive buffers, and enforces write-queue
     backpressure.  Handlers that touch session or tree state run on a
     small worker pool (``workers``); with ``workers=0`` they run inline
@@ -1046,34 +957,18 @@ class WireServer:
         """Accept TCP connections on *host*:*port* (0 = ephemeral).
 
         Returns the bound address; every accepted socket is served
-        like a pipe connection.
+        like an in-process channel.
         """
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(128)
-        sock.setblocking(False)
+        sock = self._reactor.listen(host, port, self._adopt)
         with self._lock:
             self._sockets.append(sock)
-        self._reactor.submit(
-            lambda: self._reactor.register(
-                sock, selectors.EVENT_READ,
-                lambda mask: self._accept_ready(sock)))
         return sock.getsockname()[:2]
 
-    def _accept_ready(self, sock: socket.socket) -> None:  # reactor thread
-        while True:
-            try:
-                client, _addr = sock.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # listener closed
-            try:
-                self.serve(SocketChannel(client))
-            except Closed:
-                client.close()
-                return
+    def _adopt(self, channel: SocketChannel) -> None:  # reactor thread
+        try:
+            self.serve(channel)
+        except Closed:
+            channel.close()
 
     def close(self) -> None:
         """Stop listening, drop every connection, release the workers."""
@@ -1086,11 +981,7 @@ class WireServer:
 
         def shutdown() -> None:
             for sock in sockets:
-                try:
-                    self._reactor.unregister(sock)
-                except (KeyError, ValueError, OSError):
-                    pass
-                sock.close()
+                self._reactor.unlisten(sock)
             for conn in conns:
                 conn._start_teardown()
 
@@ -1495,6 +1386,6 @@ def mount_remote(client: MuxClient) -> RemoteDir:
     return RemoteDir(client, "/", client.root_stat.mtime)
 
 
-__all__ = ["PipeChannel", "SocketChannel", "channel_pair", "dial",
+__all__ = ["SocketChannel", "channel_pair", "dial",
            "FrameReader", "WireServer", "MuxClient", "RemoteSession",
            "RemoteFile", "RemoteDir", "mount_remote"]

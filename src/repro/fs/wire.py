@@ -434,8 +434,8 @@ class Tship(Message):
 class Rship(Message):
     """The standby's ack: *ack* is its durable watermark for the
     session — the journal seq through which every shipped record is
-    safely appended.  A sync-mode primary only acknowledges a client
-    write after this reply arrives."""
+    safely appended.  A primary only acknowledges a client write
+    after this reply arrives."""
 
     type = 115
     ack: int = 0

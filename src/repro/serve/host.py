@@ -2,7 +2,7 @@
 
 The paper's ``help`` serves one user; the ROADMAP's north star serves
 many.  :class:`SessionHost` is the step between: it accepts mux
-connections (in-memory pipes or TCP) on a shared
+connections (in-process socketpairs or TCP) on a shared
 :class:`~repro.fs.mux.WireServer`, and builds one fully isolated world
 per attach — its own namespace, its own :class:`~repro.core.help.Help`
 with a private :class:`~repro.metrics.MetricsRegistry` ledger, its own
@@ -166,9 +166,8 @@ class HostedSession:
             if feed is not None and self.journal is not None:
                 # one full reset puts the standby at this exact journal
                 # (genesis or adopted snapshot); every later flush and
-                # compaction ships through the durability hook, so in
-                # sync mode a write is acked only once the standby
-                # holds its record
+                # compaction ships through the durability hook, so a
+                # write is acked only once the standby holds its record
                 sink = self.journal.sink
                 feed.ship(self.id, "reset", self.journal.seq,
                           sink.ns.read(sink.path), meta=self.uname)
@@ -360,7 +359,7 @@ class SessionHost:
         return self.server.listen(host, port)
 
     def pipe(self, max_chunk: int | None = None):
-        """An in-memory attach: returns the client end of a fresh pipe."""
+        """An in-process attach: the client end of a fresh socketpair."""
         client_end, server_end = channel_pair(max_chunk)
         self.server.serve(server_end)
         return client_end
@@ -622,17 +621,24 @@ class SessionHost:
         group, the serialized text is written to the spool, and the
         world is retired.  The session survives as a ``hibernated``
         table entry; the next attach naming it wakes it
-        byte-identically.
+        byte-identically.  A session already parked is left as it is:
+        two LRU sweeps, or a sweep and a connection drop, may race to
+        park the same session, and the loser's call is not an error.
         """
         with self._lock:
             session = self.sessions.get(session_id)
+            parked = session_id in self.hibernated
         if session is None:
+            if parked:
+                return
             raise NotFound(path=f"session/{session_id}", op="hibernate")
         if session.recorder is None:
             raise Invalid("cannot hibernate an unjournalled session",
                           path=f"session/{session_id}", op="hibernate")
         with session.oplock:
             if session.closed:
+                if session._hibernating:
+                    return
                 raise NotFound(path=f"session/{session_id}", op="hibernate")
             with session.metrics.activate():
                 text = session.recorder.compact_to_text()

@@ -8,14 +8,15 @@ recover` run on another host.  Three pieces make that real:
   session's :attr:`~repro.journal.log.Journal.on_durable` hook and
   streams the bytes each flush/compaction made durable to the standby
   as :class:`~repro.fs.wire.Tship` frames (seq-watermarked, CRC'd per
-  frame) over an ordinary wire connection.  In ``sync`` mode the ship
-  blocks for the standby's :class:`~repro.fs.wire.Rship` ack, and
-  because the recorder flushes an input *before* applying it, a client
-  write is only acknowledged once the standby durably holds its
-  record — zero acknowledged-write loss by construction.  ``async``
-  mode trades that guarantee for latency: ships queue and drain on a
-  background thread, with the debt metered as ``replica.lag_records``
-  and ``replica.lag_us`` histograms.
+  frame) over an ordinary wire connection — a socketpair to an
+  in-process standby, TCP to another process.  Shipping is
+  synchronous: each ship blocks for the standby's
+  :class:`~repro.fs.wire.Rship` ack, and because the recorder flushes
+  an input *before* applying it, a client write is only acknowledged
+  once the standby durably holds its record — zero acknowledged-write
+  loss by construction.  The ``replica.lag_records`` and
+  ``replica.lag_us`` histograms meter the unacked records and each
+  ship's round trip.
 * :class:`ReplicaStandby` — the standby side.  It wraps its own
   :class:`~repro.serve.SessionHost` and installs a ship handler on its
   wire server; per session it keeps the journal text, the park state
@@ -47,7 +48,6 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from collections import deque
 
 from repro.fs import wire
 from repro.fs.errors import Busy, Closed, FsError, IOFault
@@ -67,12 +67,9 @@ def _crc(data: str) -> int:
 class ReplicaFeed:
     """The primary's end of the journal stream to one standby."""
 
-    def __init__(self, channel, *, mode: str = "sync",
+    def __init__(self, channel, *,
                  metrics: MetricsRegistry | None = None,
                  heartbeat: float = 0.2, timeout: float = 30.0) -> None:
-        if mode not in ("sync", "async"):
-            raise ValueError(f"replica mode {mode!r} is not sync/async")
-        self.mode = mode
         self.heartbeat = heartbeat
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry("replica")
@@ -86,15 +83,6 @@ class ReplicaFeed:
         self._acked_records = 0
         self._inflight_frames = 0
         self._stopped = False
-        # async mode: ships queue here and drain strictly in order on
-        # one thread, so per-session record order is preserved
-        self._queue: deque = deque()
-        self._qcond = threading.Condition(self._lock)
-        self._drainer = None
-        if mode == "async":
-            self._drainer = threading.Thread(target=self._drain, daemon=True,
-                                             name="replica-feed")
-            self._drainer.start()
         self._beat = threading.Thread(target=self._heartbeat, daemon=True,
                                       name="replica-heartbeat")
         self._beat.start()
@@ -105,32 +93,12 @@ class ReplicaFeed:
              meta: str = "") -> None:
         """Ship one journal event for session *sid*.
 
-        ``sync``: blocks until the standby acks durability — a raise
-        here propagates up through ``Journal.flush`` into the client's
-        write, which is exactly the point.  ``async``: enqueues and
-        returns; the drain thread pays the debt.
+        Blocks until the standby acks durability — a raise here
+        propagates up through ``Journal.flush`` into the client's
+        write, which is exactly the point.
         """
-        frames = self._frames(sid, verb, seq, data, meta)
-        if self.mode == "sync":
-            for frame, records in frames:
-                self._send(frame, records, time.perf_counter())
-            return
-        with self._lock:
-            if self._stopped:
-                raise Closed("replica feed stopped", path=f"replica/{sid}",
-                             op="ship")
-            now = time.perf_counter()
-            for frame, records in frames:
-                self._queue.append((frame, records, now))
-                self._shipped_records += records
-                self._inflight_frames += 1
-                self.metrics.incr("replica.ship.frames")
-                self.metrics.incr("replica.ship.records", records)
-                self.metrics.incr("replica.ship.bytes", len(frame.data))
-                self.metrics.observe("replica.lag_records",
-                                     self._shipped_records
-                                     - self._acked_records)
-            self._qcond.notify()
+        for frame, records in self._frames(sid, verb, seq, data, meta):
+            self._send(frame, records)
 
     def _frames(self, sid: str, verb: str, seq: int, data: str,
                 meta: str) -> list[tuple[wire.Tship, int]]:
@@ -147,7 +115,8 @@ class ReplicaFeed:
                         chunk.count("\n")))
         return out
 
-    def _send(self, frame: wire.Tship, records: int, t0: float) -> None:
+    def _send(self, frame: wire.Tship, records: int) -> None:
+        t0 = time.perf_counter()
         with self._lock:
             if self._stopped:
                 raise Closed("replica feed stopped",
@@ -177,35 +146,6 @@ class ReplicaFeed:
         if reply.ack < frame.seq:
             self.metrics.incr("replica.ack.stale")
 
-    def _drain(self) -> None:  # async mode only
-        with self.metrics.activate():
-            self._drain_loop()
-
-    def _drain_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._stopped:
-                    self._qcond.wait()
-                if not self._queue:
-                    return  # stopped and drained
-                frame, records, t0 = self._queue.popleft()
-            try:
-                reply = self._client.rpc(frame)
-            except (FsError, OSError):
-                with self._lock:
-                    self._inflight_frames -= 1
-                self.metrics.incr("replica.ship.errors")
-                continue
-            with self._lock:
-                self._inflight_frames -= 1
-                self._acked_records += records
-            self.metrics.incr("replica.ack.frames")
-            self.metrics.incr("replica.ack.records", records)
-            self.metrics.observe("replica.lag_us",
-                                 (time.perf_counter() - t0) * 1e6)
-            if reply.ack < frame.seq:
-                self.metrics.incr("replica.ack.stale")
-
     def _heartbeat(self) -> None:
         with self.metrics.activate():
             while True:
@@ -222,12 +162,12 @@ class ReplicaFeed:
     # -- introspection ----------------------------------------------------
 
     def pending(self) -> int:
-        """Frames shipped (or queued) but not yet acked."""
+        """Frames shipped but not yet acked."""
         with self._lock:
-            return self._inflight_frames + len(self._queue)
+            return self._inflight_frames
 
     def quiesce(self, timeout: float = 10.0) -> bool:
-        """Wait for the async queue to drain; True when it did."""
+        """Wait until no ship is in flight; True when none is."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if self.pending() == 0:
@@ -239,8 +179,8 @@ class ReplicaFeed:
         with self._lock:
             shipped = self._shipped_records
             acked = self._acked_records
-            inflight = self._inflight_frames + len(self._queue)
-        return (f"role primary\nmode {self.mode}\n"
+            inflight = self._inflight_frames
+        return ("role primary\nmode sync\n"
                 f"shipped {shipped}\nacked {acked}\n"
                 f"inflight {inflight}\n")
 
@@ -251,7 +191,6 @@ class ReplicaFeed:
             if self._stopped:
                 return
             self._stopped = True
-            self._qcond.notify_all()
         self._client.close()
 
     def __enter__(self) -> "ReplicaFeed":
@@ -440,7 +379,7 @@ class ReplicaStandby:
 class ReplicaPair:
     """One primary host, one standby, the feed between them."""
 
-    def __init__(self, primary: SessionHost, *, mode: str = "sync",
+    def __init__(self, primary: SessionHost, *,
                  heartbeat: float = 0.2, standby_prefix: str = "rs.",
                  standby: ReplicaStandby | None = None) -> None:
         self.primary = primary
@@ -450,7 +389,7 @@ class ReplicaPair:
             workers=4, max_live=primary.max_live, plan_for=primary.plan_for,
             heartbeat=heartbeat)
         self.standby.heartbeat = heartbeat
-        self.feed = ReplicaFeed(self.standby.host.pipe(), mode=mode,
+        self.feed = ReplicaFeed(self.standby.host.pipe(),
                                 metrics=primary.metrics, heartbeat=heartbeat)
         primary.attach_replica(self.feed)
         self.killed = False

@@ -6,10 +6,12 @@ hosts (shards), each with its own :class:`~repro.fs.mux.WireServer`
 reactor, worker pool and session registry.  The router owns nothing
 but the attach decision:
 
-* every connection starts with a Tattach (the protocol requires it);
-  the router reads just enough bytes to decode that first frame,
-  hashes the attach name onto an active shard, and hands the channel
-  — buffered bytes included — to that shard's server via
+* every connection starts with a Tattach (the protocol requires it).
+  The router's own reactor — one selector thread, no thread per
+  connection — holds each new connection, TCP or :meth:`pipe`, and
+  buffers its bytes until that first frame decodes; it then hashes
+  the attach name onto an active shard, unregisters the fd, and hands
+  the channel — buffered bytes included — to that shard's server via
   ``serve(channel, initial=...)``.  After the handoff the router is
   out of the data path entirely: no per-RPC hop, no shared lock.
 * ``srv/sessions`` stays host-level: the router installs itself as
@@ -31,8 +33,9 @@ shard mints anonymous ids under its own prefix (``sh<i>.<n>``).
 
 **Replication** (``replicate=True``) pairs every shard with a standby
 (:class:`~repro.serve.replica.ReplicaPair`): the primary ships each
-session's journal over the wire as it becomes durable, a monitor
-thread watches the feed heartbeat, and when a primary goes silent
+session's journal over the wire as it becomes durable, and acks a
+write only once the standby holds it.  A monitor thread watches the
+feed heartbeat, and when a primary goes silent
 (``miss`` straight heartbeats) the router **promotes** — the standby
 replays every shipped journal through the PR 4 recovery path, adopts
 the sessions (live ones re-attach exactly like a hibernation wake;
@@ -44,6 +47,7 @@ down) and lets detection and promotion run for real.
 
 from __future__ import annotations
 
+import selectors
 import socket
 import threading
 import time
@@ -51,7 +55,7 @@ import zlib
 
 from repro.fs import wire
 from repro.fs.errors import Busy, Closed, Invalid, NotFound
-from repro.fs.mux import SocketChannel, channel_pair
+from repro.fs.mux import SocketChannel, _Reactor, channel_pair
 from repro.metrics.counter import MetricsRegistry, current_registry
 from repro.serve.host import SessionHost
 from repro.serve.replica import ReplicaPair
@@ -67,7 +71,6 @@ class ShardRouter:
                  extra_tools: bool = False, max_outstanding: int = 64,
                  workers: int = 4, max_live: int | None = None,
                  plan_for=None, replicate: bool = False,
-                 replica_mode: str = "sync",
                  heartbeat_interval: float = 0.2,
                  heartbeat_miss: int = 3) -> None:
         if shards < 1:
@@ -91,6 +94,8 @@ class ShardRouter:
         self._rr = 0
         self._sockets: list[socket.socket] = []
         self._closed = False
+        # connections whose Tattach has not decoded yet (router loop only)
+        self._waiting: set[SocketChannel] = set()
         # replication: one standby per shard, fed before first attach
         self.replicate = replicate
         self.heartbeat_miss = heartbeat_miss
@@ -104,13 +109,15 @@ class ShardRouter:
             if not record:
                 raise ValueError("replication needs journals: record=True")
             for i, host in enumerate(self.hosts):
-                self.pairs[i] = ReplicaPair(host, mode=replica_mode,
-                                            heartbeat=heartbeat_interval,
+                self.pairs[i] = ReplicaPair(host, heartbeat=heartbeat_interval,
                                             standby_prefix=f"sh{i}r.")
             self._monitor = threading.Thread(target=self._watch,
                                              daemon=True,
                                              name="replica-monitor")
             self._monitor.start()
+        # the router loop: its listeners and every unattached connection;
+        # errors raised while routing book against the router's ledger
+        self._reactor = _Reactor(name="shard-router", registry=self.metrics)
 
     # -- placement --------------------------------------------------------
 
@@ -132,12 +139,11 @@ class ShardRouter:
     # -- accepting connections --------------------------------------------
 
     def pipe(self, max_chunk: int | None = None):
-        """An in-memory attach: the client end of a routed pipe."""
+        """An in-process attach: the client end of a routed socketpair."""
         if self._closed:
             raise Closed("router is closed", path="router", op="pipe")
         client_end, server_end = channel_pair(max_chunk)
-        threading.Thread(target=self._route_channel, args=(server_end,),
-                         daemon=True, name="shard-route").start()
+        self._reactor.submit(lambda: self._await_attach(server_end))
         return client_end
 
     def listen(self, host: str = "127.0.0.1",
@@ -145,60 +151,54 @@ class ShardRouter:
         """Accept TCP attaches; returns the bound (host, port)."""
         if self._closed:
             raise Closed("router is closed", path="router", op="listen")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(128)
+        sock = self._reactor.listen(host, port, self._await_attach)
         self._sockets.append(sock)
-        threading.Thread(target=self._accept_loop, args=(sock,),
-                         daemon=True, name="shard-accept").start()
         return sock.getsockname()[:2]
 
-    def _accept_loop(self, sock: socket.socket) -> None:
-        while True:
-            try:
-                client, _addr = sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._route_channel,
-                             args=(SocketChannel(client),),
-                             daemon=True, name="shard-route").start()
-
-    def _route_channel(self, channel) -> None:
-        """Peek the Tattach, pick a shard, hand the channel over."""
-        # routing threads carry no metrics context; errors constructed
-        # here (eof mid-attach, a killed shard's server refusing the
-        # handoff) book against the router, not the process default
-        with self.metrics.activate():
-            self._route(channel)
-
-    def _route(self, channel) -> None:
+    def _await_attach(self, channel: SocketChannel) -> None:  # router loop
+        if self._closed:
+            channel.close()
+            return
         buf = bytearray()
-        msg = None
+        self._waiting.add(channel)
+        channel.setblocking(False)
+        self._reactor.register(channel, selectors.EVENT_READ,
+                               lambda mask: self._peek(channel, buf))
+
+    def _peek(self, channel: SocketChannel,
+              buf: bytearray) -> None:  # router loop
+        """Buffer until the Tattach decodes, then hand the channel over."""
+        chunk = channel.try_recv(_PEEK_SIZE)
+        if chunk is None:
+            return
+        buf += chunk
         try:
-            while msg is None:
-                msg, _end = wire.decode(buf)
-                if msg is not None:
-                    break
-                chunk = channel.recv(_PEEK_SIZE)
-                if not chunk:
-                    raise Closed("eof before attach", path="router",
-                                 op="attach")
-                buf += chunk
+            msg, _end = wire.decode(buf)
+            if msg is None:
+                if chunk:
+                    return  # the attach frame is still arriving
+                raise Closed("eof before attach", path="router",
+                             op="attach")
             if not isinstance(msg, wire.Tattach):
                 raise Invalid("first frame is not Tattach", path="router",
                               op="attach")
             index = self.shard_for(msg.aname)
-        except (Busy, Closed, Invalid, OSError):
+        except (Busy, Closed, Invalid):
+            self._unwait(channel)
             self.metrics.incr("router.attach.rejected")
             channel.close()
             return
+        self._unwait(channel)
         self.metrics.incr("router.attach.routed")
         self.metrics.incr(f"router.attach.shard{index}")
         try:
             self.hosts[index].server.serve(channel, initial=bytes(buf))
         except Closed:
             channel.close()
+
+    def _unwait(self, channel: SocketChannel) -> None:  # router loop
+        self._waiting.discard(channel)
+        self._reactor.unregister(channel)
 
     # -- replication: failure detection and promotion ----------------------
 
@@ -436,11 +436,16 @@ class ShardRouter:
         self._monitor_stop.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5)
-        for sock in self._sockets:
-            try:
-                sock.close()
-            except OSError:
-                pass
+
+        def shutdown() -> None:  # router loop
+            for sock in self._sockets:
+                self._reactor.unlisten(sock)
+            for channel in list(self._waiting):
+                self._unwait(channel)
+                channel.close()
+
+        self._reactor.submit(shutdown)
+        self._reactor.stop()
         for pair in self.pairs:
             if pair is not None:
                 pair.close()

@@ -681,8 +681,7 @@ def run_primary(standby_addr, conn) -> None:
     until SIGKILL takes it; its address goes back over *conn*."""
     primary = SessionHost(width=WIDTH, height=HEIGHT)
     primary.attach_replica(ReplicaFeed(
-        dial(*standby_addr), mode="sync", metrics=primary.metrics,
-        heartbeat=HEARTBEAT))
+        dial(*standby_addr), metrics=primary.metrics, heartbeat=HEARTBEAT))
     conn.send(primary.listen())
     while True:  # the parent's SIGKILL is the only way out
         time.sleep(60)

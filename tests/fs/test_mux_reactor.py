@@ -117,17 +117,12 @@ class TestDisconnectMidRpc:
         server.close()
         assert metrics.counter("mux.inflight") == 0
 
-    @pytest.mark.parametrize("transport", ["pipe", "socket"])
-    def test_reply_to_a_hung_up_peer_books_no_error(self, transport):
+    def test_reply_to_a_hung_up_peer_books_no_error(self):
         """The reactor's send to a peer that already hung up is
         teardown: a plain OSError, never a taxonomy error counted in
         the ledger of whichever registry the reactor thread holds."""
-        if transport == "pipe":
-            peer, server_end = channel_pair()
-            send = server_end.send
-        else:
-            peer, sock = socket.socketpair()
-            send = SocketChannel(sock).try_send
+        peer, sock = socket.socketpair()
+        send = SocketChannel(sock).try_send
         peer.close()
         metrics = MetricsRegistry("host")
         with metrics.activate(), pytest.raises(OSError):
@@ -137,20 +132,25 @@ class TestDisconnectMidRpc:
 
 
 class TestSlowReaderBackpressure:
-    def test_write_queue_fills_pauses_then_drains(self):
+    @pytest.mark.parametrize("transport", ["tcp", "pipe"])
+    def test_write_queue_fills_pauses_then_drains(self, transport):
         """A client that stops reading fills the connection's write
         queue past the high-water mark; the reactor stops reading from
         it (recorded as wire.backpressure.paused), then resumes once
         the client drains the queue below low water.  Every reply must
-        still arrive (worker-pool scheduling may reorder tags)."""
+        still arrive (worker-pool scheduling may reorder tags).  An
+        in-process channel is a socketpair, so it pushes back too."""
         big = "x" * (512 * 1024)
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("big", read_fn=lambda: big)])
         metrics = MetricsRegistry("t")
         server = WireServer(root, metrics=metrics, serialize=False,
                             max_outstanding=256)
-        host, port = server.listen()
-        channel = dial(host, port)
+        if transport == "tcp":
+            channel = dial(*server.listen())
+        else:
+            channel, server_end = channel_pair()
+            server.serve(server_end)
         try:
             channel.send(wire.encode(wire.Tattach(tag=0, fid=0)))
             reader = FrameReader(channel)

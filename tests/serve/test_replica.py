@@ -51,8 +51,7 @@ def _wait(predicate, timeout=10.0, interval=0.01):
 @pytest.fixture
 def pair():
     primary = SessionHost(width=100, height=40)
-    p = ReplicaPair(primary, mode="sync", heartbeat=HEARTBEAT,
-                    standby_prefix="t.")
+    p = ReplicaPair(primary, heartbeat=HEARTBEAT, standby_prefix="t.")
     yield p
     p.close()
 
@@ -97,24 +96,6 @@ class TestSyncShipping:
         text = ns.read("/s/srv/replica")
         assert "role primary" in text and "mode sync" in text
         client.close()
-
-
-class TestAsyncShipping:
-    def test_queue_drains_in_order(self):
-        primary = SessionHost(width=100, height=40)
-        with ReplicaPair(primary, mode="async", heartbeat=HEARTBEAT,
-                         standby_prefix="t.") as p:
-            client, ns = _attach(primary, "alice")
-            for i in range(3):
-                ns.append("/s/input", _newwin(f"/tmp/n{i}", "x"))
-            assert p.feed.quiesce()
-            sink = primary.sessions["alice"].journal.sink
-            assert p.standby.journal_text("alice") \
-                == sink.ns.read(sink.path)
-            m = primary.metrics
-            assert m.counter("replica.ship.frames") \
-                == m.counter("replica.ack.frames")
-            client.close()
 
 
 class TestStandbyHandler:

@@ -318,6 +318,48 @@ def test_hibernate_wake_round_trip_is_byte_identical():
     assert host.audit() == []
 
 
+def test_racing_hibernates_park_once_and_book_no_error(monkeypatch):
+    """Two LRU sweeps, or a sweep and a connection drop, can race to
+    park one session.  The loser — waiting on the oplock while the
+    winner compacts, or arriving after the world is gone — leaves the
+    session parked and books no error into the ledger it runs under
+    (the host's, on the reactor and during an attach)."""
+    host = SessionHost(max_live=4)
+    try:
+        _client, ns = _attach(host, "sleeper")
+        ns.append("/s/input", _newwin("/tmp/keep", "text"))
+        recorder = host.sessions["sleeper"].recorder
+        compact = recorder.compact_to_text
+        inside, release = threading.Event(), threading.Event()
+
+        def gated():
+            inside.set()
+            assert release.wait(5)
+            return compact()
+
+        def lose():
+            with host.metrics.activate():
+                host.hibernate("sleeper")
+
+        monkeypatch.setattr(recorder, "compact_to_text", gated)
+        winner = threading.Thread(target=host.hibernate, args=("sleeper",))
+        winner.start()
+        assert inside.wait(5)
+        loser = threading.Thread(target=lose)
+        loser.start()
+        time.sleep(0.1)  # the loser now waits on the oplock
+        release.set()
+        winner.join(5)
+        loser.join(5)
+        assert not winner.is_alive() and not loser.is_alive()
+        lose()  # the world is gone by now
+        assert "sleeper" in host.hibernated
+        assert host.metrics.counter("host.sessions.hibernated") == 1
+    finally:
+        host.close()
+    assert host.audit() == []
+
+
 def test_connection_drop_hibernates_under_a_budget():
     """With max_live set, a dropped connection parks the session on
     disk instead of retiring it — the user went nominal, not away."""

@@ -8,13 +8,16 @@ the session without losing a record.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
 import pytest
 
+from repro.fs import wire
 from repro.fs.errors import Closed, NotFound
-from repro.fs.mux import MuxClient, mount_remote
+from repro.fs.mux import FrameReader, MuxClient, SocketChannel, dial, \
+    mount_remote
 from repro.fs.namespace import Namespace
 from repro.fs.vfs import VFS
 from repro.serve import ShardRouter, input_line
@@ -61,6 +64,111 @@ class TestPlacement:
             router.drain_shard(home)  # empty shard: nothing to migrate
             assert router.shard_for("alice") != home
             assert home not in {router.shard_for("") for _ in range(9)}
+
+
+@pytest.fixture
+def tcp_router():
+    router = ShardRouter(shards=2)
+    yield router, router.listen()
+    router.close()
+
+
+def _raw(addr):
+    """A bare TCP client: the socket, and a reader for its replies."""
+    sock = socket.create_connection(addr, timeout=5)
+    return sock, FrameReader(SocketChannel(sock))
+
+
+class TestAttachLoop:
+    """The router holds each new connection on its own loop until the
+    Tattach decodes, then hands the fd and the bytes it read to a
+    shard; a connection that cannot attach is closed and counted."""
+
+    def test_attach_sent_a_byte_at_a_time_is_routed(self, tcp_router):
+        router, addr = tcp_router
+        sock, reader = _raw(addr)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        frame = wire.encode(wire.Tattach(tag=0, fid=0, aname="alice"))
+        for i in range(len(frame)):
+            sock.sendall(frame[i:i + 1])
+            time.sleep(0.001)
+        assert isinstance(reader.next_frame(), wire.Rattach)
+        assert router.metrics.counter("router.attach.routed") == 1
+        sock.close()
+
+    def test_walk_sent_with_the_attach_is_answered(self, tcp_router):
+        router, addr = tcp_router
+        sock, reader = _raw(addr)
+        sock.sendall(wire.encode(wire.Tattach(tag=0, fid=0, aname="alice"))
+                     + wire.encode(wire.Twalk(tag=1, fid=0, newfid=1,
+                                              names=["id"])))
+        assert isinstance(reader.next_frame(), wire.Rattach)
+        walk = reader.next_frame()
+        assert isinstance(walk, wire.Rwalk) and walk.found
+        sock.close()
+
+    @pytest.mark.parametrize("first", ["eof", "walk"])
+    def test_eof_or_a_non_attach_first_frame_is_rejected(self, tcp_router,
+                                                          first):
+        router, addr = tcp_router
+        sock, _reader = _raw(addr)
+        if first == "eof":
+            sock.shutdown(socket.SHUT_WR)
+        else:
+            sock.sendall(wire.encode(wire.Twalk(tag=1, fid=0, newfid=1,
+                                                names=["id"])))
+        assert sock.recv(1) == b""  # the router hung up
+        assert router.metrics.counter("router.attach.rejected") == 1
+        assert router.audit() == []
+        sock.close()
+
+    def test_attach_is_rejected_while_every_shard_drains(self, tcp_router):
+        router, addr = tcp_router
+        for index in range(len(router.hosts)):
+            router.drain_shard(index)
+        sock, _reader = _raw(addr)
+        sock.sendall(wire.encode(wire.Tattach(tag=0, fid=0, aname="alice")))
+        assert sock.recv(1) == b""
+        assert router.metrics.counter("router.attach.rejected") == 1
+        assert router.audit() == []
+        sock.close()
+
+    def test_idle_connections_hold_no_thread_and_end_at_close(self):
+        """Connections that never attach cost the router no thread, and
+        close() hangs up on every one of them and leaves no thread."""
+        before_router = set(threading.enumerate())
+        router = ShardRouter(shards=2)
+        addr = router.listen()
+        before = threading.active_count()
+        socks = [socket.create_connection(addr) for _ in range(20)]
+        ends = [SocketChannel(sock) for sock in socks]
+        ends += [router.pipe() for _ in range(5)]
+        time.sleep(0.5)  # time for the router to take every one in
+        idle_threads = threading.active_count() - before
+        got: list[bytes] = []
+        readers = [threading.Thread(target=lambda end=end: got.append(
+            end.recv(1)), daemon=True) for end in ends]
+        for reader in readers:
+            reader.start()
+        router.close()
+        deadline = time.monotonic() + 1.0
+        for reader in readers:
+            reader.join(max(0.0, deadline - time.monotonic()))
+        eofs = got.count(b"")
+        left = set(threading.enumerate()) - before_router - set(readers)
+        for end in ends:
+            end.close()
+        assert idle_threads <= 0
+        assert eofs == len(ends)
+        assert sorted(t.name for t in left) == []
+
+    def test_closed_router_refuses_connections(self, tcp_router):
+        router, addr = tcp_router
+        with MuxClient(dial(*addr), aname="alice") as client:
+            assert mount_remote(client).lookup("id").data == "alice\n"
+        router.close()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(addr, timeout=1).close()
 
 
 class TestFederation:

@@ -34,7 +34,7 @@ SEED = 20260808  # same seed as the plain soak: same traffic, plus kills
 def test_perf_replica_ship(benchmark):
     """One input record round trip under sync journal shipping."""
     primary = SessionHost(width=100, height=40)
-    pair = ReplicaPair(primary, heartbeat=0.2, standby_prefix="br.")
+    pair = ReplicaPair(primary, standby_prefix="br.")
     try:
         client = MuxClient(primary.pipe(), aname="bench")
         ns = Namespace(VFS())

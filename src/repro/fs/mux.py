@@ -409,6 +409,7 @@ class _Connection:
         self.fids: dict[int, _FidState] = {}
         self.inflight = 0
         self.session = None  # set at attach by the session factory
+        self.feed = False    # carried a Tship: a replica feed
         self.closed = False
         self._lock = threading.Lock()       # fids + inflight
         self._wlock = threading.Lock()      # write queue
@@ -719,6 +720,7 @@ class _Connection:
             if handler is None:
                 raise Invalid("no replica feed handler on this server",
                               path="<wire>", op="ship")
+            self.feed = True
             return wire.Rship(tag=msg.tag, ack=handler(msg))
         if isinstance(msg, wire.Twalk):
             with lock:
@@ -849,6 +851,8 @@ class _Connection:
                 pass
             self._events = 0
         self._teardown()
+        if self.feed and not self.server._closed:
+            self.server.ship_handler(None)  # a replica feed hung up
 
     def _teardown(self) -> None:
         try:
@@ -924,9 +928,11 @@ class WireServer:
         self.metrics = metrics
         self.session_factory = session_factory
         # ship_handler: called with each wire.Tship a replica feed
-        # pushes at this server; returns the ack watermark.  Installed
-        # by a ReplicaStandby (repro.serve.replica); None refuses ship
-        # frames with Invalid.
+        # pushes at this server; returns the ack watermark.  Called
+        # with None, on the reactor thread, when a connection that
+        # carried a Tship hangs up while the server stays open.
+        # Installed by a ReplicaStandby (repro.serve.replica); None
+        # refuses ship frames with Invalid.
         self.ship_handler = None
         self._oplock = threading.Lock() if serialize else _NullLock()
         self._executor = (ThreadPoolExecutor(max_workers=workers)

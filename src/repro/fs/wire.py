@@ -401,7 +401,8 @@ class Tship(Message):
     * ``state`` — *meta* carries the session's park state (``live`` or
       ``parked``); no data.
     * ``drop`` — the session closed for good; the standby forgets it.
-    * ``ping`` — heartbeat; carries nothing, proves the primary lives.
+    * ``hello`` — the feed's first frame; carries nothing, but marks
+      the connection as a feed whose hang-up means the primary died.
 
     *seq* is the journal sequence number of the last record covered by
     this frame — the watermark the standby echoes back in
@@ -412,7 +413,7 @@ class Tship(Message):
 
     type = 114
     sid: str = ""
-    verb: str = "ping"
+    verb: str = "hello"
     seq: int = 0
     crc: int = 0
     meta: str = ""

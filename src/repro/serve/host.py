@@ -375,9 +375,13 @@ class SessionHost:
         """
         self.replica = feed
 
-    def _ship_drop(self, session_id: str) -> None:
-        """Tell the standby *session_id* is gone — best-effort: a
-        standby that misses a drop merely tracks a dead session."""
+    def _ship(self, session_id: str, verb: str, data: str = "",
+              meta: str = "") -> None:
+        """Ship a drop, a park state or a re-spooled snapshot to the
+        standby, best-effort: the primary has done the work already,
+        and a feed going down with its primary must not undo it.  A
+        missed drop leaves a dead copy on the standby; a missed state
+        only splits the promoted live/parked counters."""
         feed = self.replica
         if feed is None:
             return
@@ -386,19 +390,7 @@ class SessionHost:
             # stopped feed's Closed must book to the feed, not the
             # process default registry
             with feed.metrics.activate():
-                feed.ship(session_id, "drop", 0)
-        except FsError:
-            pass
-
-    def _ship_state(self, session_id: str, state: str) -> None:
-        """Mirror a live/parked transition — best-effort: the state
-        only splits the standby's promoted live/parked counters."""
-        feed = self.replica
-        if feed is None:
-            return
-        try:
-            with feed.metrics.activate():
-                feed.ship(session_id, "state", 0, meta=state)
+                feed.ship(session_id, verb, 0, data, meta=meta)
         except FsError:
             pass
 
@@ -407,8 +399,9 @@ class SessionHost:
 
         The in-process stand-in for SIGKILL — no fid closes, no
         session close/hibernate, no replica drops; clients see torn
-        connections and the standby sees the feed go silent.  Used by
-        chaos tests; a killed host must never be reused.
+        connections, and once the feed's owner cuts it the standby
+        sees it hang up.  Used by chaos tests; a killed host must
+        never be reused.
         """
         self._killed = True
         self._closing = True
@@ -455,7 +448,7 @@ class SessionHost:
         if claimed is not None:
             # the standby's tracked state follows (outside the host
             # lock: shipping is an rpc)
-            self._ship_state(claimed.id, "live")
+            self._ship(claimed.id, "state", meta="live")
             return claimed
         try:
             self._ensure_room(exclude=session_id)
@@ -530,7 +523,7 @@ class SessionHost:
         self.metrics.incr("host.sessions.opened")
         self.metrics.incr("host.sessions.adopted")
         # construction shipped the reset as "live"; it is parked
-        self._ship_state(session_id, "parked")
+        self._ship(session_id, "state", meta="parked")
         return session
 
     def adopt_hibernated(self, session_id: str, uname: str,
@@ -551,15 +544,10 @@ class SessionHost:
             self.hibernated[session_id] = path
             self._hibernated_uname[session_id] = uname
         self.metrics.incr("host.sessions.hib.in")
-        feed = self.replica
-        if feed is not None:
-            # the standby holds nominal sessions too: a promoted
-            # standby must re-spool them, so the snapshot ships whole
-            try:
-                feed.ship(session_id, "reset", 0, journal_text, meta=uname)
-            except FsError:
-                pass
-            self._ship_state(session_id, "parked")
+        # the standby holds nominal sessions too: a promoted standby
+        # must re-spool them, so the snapshot ships whole
+        self._ship(session_id, "reset", journal_text, meta=uname)
+        self._ship(session_id, "state", meta="parked")
 
     def _retire(self, session: HostedSession) -> None:
         with self._lock:
@@ -569,7 +557,7 @@ class SessionHost:
         if not session._hibernating:
             # truly gone — a hibernating session survives as a spooled
             # snapshot and keeps its standby entry
-            self._ship_drop(session.id)
+            self._ship(session.id, "drop")
 
     def evict(self, session_id: str) -> None:
         """Force one session out; its connection sees ``Closed``.
@@ -592,7 +580,7 @@ class SessionHost:
                 except OSError:
                     pass
         if discarded:
-            self._ship_drop(session_id)
+            self._ship(session_id, "drop")
             return
         if session is None:
             raise NotFound(path=f"session/{session_id}", op="evict")
@@ -665,7 +653,7 @@ class SessionHost:
         self.metrics.incr("host.sessions.hibernated")
         # the compaction already shipped the snapshot text through the
         # durability hook; only the state flips
-        self._ship_state(session_id, "parked")
+        self._ship(session_id, "state", meta="parked")
 
     def _ensure_room(self, exclude: str | None = None) -> None:
         """Hibernate LRU sessions until the budget fits one more world.

@@ -29,12 +29,15 @@ recover` run on another host.  Three pieces make that real:
   feed between them, and a kill switch that severs the primary with no
   orderly teardown (the in-process stand-in for SIGKILL).
 
-Failure detection is feed silence: the feed heartbeats ``ping`` ships
-every *heartbeat* seconds, the standby timestamps every frame, and
-:meth:`ReplicaStandby.primary_alive` reports whether the allowance of
-missed heartbeats is spent — the same staleness the ``srv/replica``
-control file serves.  The ShardRouter's monitor thread polls it and
-repoints the hash slot at the promoted standby.
+Failure detection is the feed's hang-up, the way a Plan 9 client
+learns that its file server died: the feed's first frame is a
+``hello``, and when that connection closes under a standby that is
+still serving, the standby books ``replica.feed.lost`` and calls its
+``on_lost`` hook — a ShardRouter's hook promotes the standby and
+repoints the hash slot.  An orderly :meth:`ReplicaPair.close` closes
+the standby before the feed, so it never reads as a crash.  A primary
+that hangs with its socket open is not detected: nothing times a
+silence.
 
 The ledger: ``replica.ship.frames == replica.ack.frames + inflight +
 replica.ship.errors`` on the primary (audited by ``host.audit()``),
@@ -68,24 +71,21 @@ class ReplicaFeed:
     """The primary's end of the journal stream to one standby."""
 
     def __init__(self, channel, *,
-                 metrics: MetricsRegistry | None = None,
-                 heartbeat: float = 0.2, timeout: float = 30.0) -> None:
-        self.heartbeat = heartbeat
+                 metrics: MetricsRegistry | None = None) -> None:
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry("replica")
         # the feed's wire client books its lifecycle noise (a torn
         # channel when the primary dies, the close on stop) against
         # the feed's own registry, not whatever context made the feed
         with self.metrics.activate():
-            self._client = MuxClient(channel, attach=False, timeout=timeout)
+            self._client = MuxClient(channel, attach=False)
+            # a feed that has shipped nothing must still hang up as one
+            self._client.rpc(wire.Tship(verb="hello"))
         self._lock = threading.Lock()
         self._shipped_records = 0
         self._acked_records = 0
         self._inflight_frames = 0
         self._stopped = False
-        self._beat = threading.Thread(target=self._heartbeat, daemon=True,
-                                      name="replica-heartbeat")
-        self._beat.start()
 
     # -- shipping ---------------------------------------------------------
 
@@ -145,19 +145,6 @@ class ReplicaFeed:
                              (time.perf_counter() - t0) * 1e6)
         if reply.ack < frame.seq:
             self.metrics.incr("replica.ack.stale")
-
-    def _heartbeat(self) -> None:
-        with self.metrics.activate():
-            while True:
-                time.sleep(self.heartbeat)
-                with self._lock:
-                    if self._stopped:
-                        return
-                try:
-                    self._client.rpc(wire.Tship(verb="ping"))
-                    self.metrics.incr("replica.heartbeat.sent")
-                except (FsError, OSError):
-                    self.metrics.incr("replica.heartbeat.failed")
 
     # -- introspection ----------------------------------------------------
 
@@ -223,38 +210,40 @@ class ReplicaStandby:
 
     def __init__(self, *, width: int = 100, height: int = 40,
                  extra_tools: bool = False, id_prefix: str = "rs",
-                 max_outstanding: int = 64, workers: int = 4,
-                 max_live: int | None = None, plan_for=None,
-                 heartbeat: float = 0.2) -> None:
+                 max_live: int | None = None, plan_for=None) -> None:
         self.host = SessionHost(width=width, height=height, record=True,
                                 extra_tools=extra_tools, id_prefix=id_prefix,
-                                max_outstanding=max_outstanding,
-                                workers=workers, max_live=max_live,
-                                plan_for=plan_for)
-        self.heartbeat = heartbeat
+                                max_live=max_live, plan_for=plan_for)
         self.metrics = self.host.metrics
         self.promoted = False
+        # called on the standby's reactor thread once the feed hangs
+        # up: the primary is gone (a ShardRouter installs a promotion)
+        self.on_lost = None
         self._lock = threading.Lock()
         self._tracked: dict[str, _Tracked] = {}
         self._last_feed = time.monotonic()
         self.host.server.ship_handler = self._on_ship
         self.host.replica_status = self.status_text
 
-    # -- the ship handler (wire worker threads) ---------------------------
+    # -- the ship handler (wire workers; a hang-up on the reactor) -------
 
-    def _on_ship(self, msg: wire.Tship) -> int:
+    def _on_ship(self, msg: wire.Tship | None) -> int:
         # wire worker threads carry no metrics context of their own;
         # errors raised here (crc mismatch, unknown verb) must book
         # against the standby, not the process default registry
         with self.metrics.activate():
-            return self._apply_ship(msg)
+            if msg is not None:
+                return self._apply_ship(msg)
+            self.metrics.incr("replica.feed.lost")
+            if self.on_lost is not None:
+                self.on_lost()
+            return 0
 
     def _apply_ship(self, msg: wire.Tship) -> int:
         now = time.monotonic()
-        if msg.verb == "ping":
+        if msg.verb == "hello":
             with self._lock:
                 self._last_feed = now
-            self.metrics.incr("replica.heartbeat.seen")
             return 0
         if _crc(msg.data) != msg.crc:
             self.metrics.incr("replica.recv.crc_failed")
@@ -293,17 +282,6 @@ class ReplicaStandby:
         self.metrics.incr("replica.recv.records", records)
         self.metrics.incr("replica.recv.bytes", len(msg.data))
         return ack
-
-    # -- failure detection ------------------------------------------------
-
-    def feed_age(self) -> float:
-        """Seconds since the last frame (data or heartbeat) arrived."""
-        with self._lock:
-            return time.monotonic() - self._last_feed
-
-    def primary_alive(self, miss: int = 3) -> bool:
-        """False once *miss* heartbeat intervals pass in silence."""
-        return self.feed_age() < miss * self.heartbeat
 
     # -- promotion --------------------------------------------------------
 
@@ -380,17 +358,14 @@ class ReplicaPair:
     """One primary host, one standby, the feed between them."""
 
     def __init__(self, primary: SessionHost, *,
-                 heartbeat: float = 0.2, standby_prefix: str = "rs.",
-                 standby: ReplicaStandby | None = None) -> None:
+                 standby_prefix: str = "rs.") -> None:
         self.primary = primary
-        self.standby = standby if standby is not None else ReplicaStandby(
+        self.standby = ReplicaStandby(
             width=primary.width, height=primary.height,
             extra_tools=primary.extra_tools, id_prefix=standby_prefix,
-            workers=4, max_live=primary.max_live, plan_for=primary.plan_for,
-            heartbeat=heartbeat)
-        self.standby.heartbeat = heartbeat
+            max_live=primary.max_live, plan_for=primary.plan_for)
         self.feed = ReplicaFeed(self.standby.host.pipe(),
-                                metrics=primary.metrics, heartbeat=heartbeat)
+                                metrics=primary.metrics)
         primary.attach_replica(self.feed)
         self.killed = False
         self.killed_at: float | None = None
@@ -400,14 +375,15 @@ class ReplicaPair:
         return self.standby.promoted
 
     def kill_primary(self) -> None:
-        """Crash the primary: feed severed, connections dropped, no
-        teardown — what SIGKILL leaves behind."""
+        """Crash the primary: connections dropped, feed severed, no
+        teardown — what SIGKILL leaves behind.  The clients go first,
+        so a promotion never overlaps a primary that still answers."""
         if self.killed:
             return
         self.killed = True
         self.killed_at = time.monotonic()
-        self.feed.stop()
         self.primary.kill()
+        self.feed.stop()
 
     def promote(self) -> tuple[SessionHost, dict]:
         """Promote the standby; returns (new primary host, report)."""
@@ -416,10 +392,11 @@ class ReplicaPair:
 
     def close(self) -> None:
         # the primary first: each live session's drop ships into a
-        # feed that is still running
+        # feed that is still running; the standby before the feed, so
+        # the feed's hang-up meets a closing server, not a lost primary
         self.primary.close()
-        self.feed.stop()
         self.standby.close()
+        self.feed.stop()
 
     def __enter__(self) -> "ReplicaPair":
         return self

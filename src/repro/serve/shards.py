@@ -34,9 +34,9 @@ shard mints anonymous ids under its own prefix (``sh<i>.<n>``).
 **Replication** (``replicate=True``) pairs every shard with a standby
 (:class:`~repro.serve.replica.ReplicaPair`): the primary ships each
 session's journal over the wire as it becomes durable, and acks a
-write only once the standby holds it.  A monitor thread watches the
-feed heartbeat, and when a primary goes silent
-(``miss`` straight heartbeats) the router **promotes** — the standby
+write only once the standby holds it.  When a primary's feed hangs
+up, the router **promotes** through the standby's ``on_lost`` hook,
+on the standby's reactor thread — the standby
 replays every shipped journal through the PR 4 recovery path, adopts
 the sessions (live ones re-attach exactly like a hibernation wake;
 parked snapshots are already spooled), and the hash slot repoints to
@@ -70,9 +70,7 @@ class ShardRouter:
                  height: int = 40, record: bool = True,
                  extra_tools: bool = False, max_outstanding: int = 64,
                  workers: int = 4, max_live: int | None = None,
-                 plan_for=None, replicate: bool = False,
-                 heartbeat_interval: float = 0.2,
-                 heartbeat_miss: int = 3) -> None:
+                 plan_for=None, replicate: bool = False) -> None:
         if shards < 1:
             raise ValueError("a router needs at least one shard")
         self.metrics = MetricsRegistry("router")
@@ -98,23 +96,16 @@ class ShardRouter:
         self._waiting: set[SocketChannel] = set()
         # replication: one standby per shard, fed before first attach
         self.replicate = replicate
-        self.heartbeat_miss = heartbeat_miss
-        self._watch_interval = heartbeat_interval
         self.pairs: list[ReplicaPair | None] = [None] * shards
         # killed primaries, kept so close() can tear their threads down
         self.dead: list[SessionHost] = []
-        self._monitor: threading.Thread | None = None
-        self._monitor_stop = threading.Event()
         if replicate:
             if not record:
                 raise ValueError("replication needs journals: record=True")
             for i, host in enumerate(self.hosts):
-                self.pairs[i] = ReplicaPair(host, heartbeat=heartbeat_interval,
-                                            standby_prefix=f"sh{i}r.")
-            self._monitor = threading.Thread(target=self._watch,
-                                             daemon=True,
-                                             name="replica-monitor")
-            self._monitor.start()
+                pair = ReplicaPair(host, standby_prefix=f"sh{i}r.")
+                pair.standby.on_lost = lambda i=i: self._fail_over(i)
+                self.pairs[i] = pair
         # the router loop: its listeners and every unattached connection;
         # errors raised while routing book against the router's ledger
         self._reactor = _Reactor(name="shard-router", registry=self.metrics)
@@ -202,24 +193,18 @@ class ShardRouter:
 
     # -- replication: failure detection and promotion ----------------------
 
-    def _watch(self) -> None:
-        """The monitor thread: promote any pair whose primary went
-        silent for ``heartbeat_miss`` straight heartbeat intervals."""
-        while not self._monitor_stop.wait(self._watch_interval):
-            for i, pair in enumerate(self.pairs):
-                if pair is None or pair.promoted:
-                    continue
-                if not pair.standby.primary_alive(self.heartbeat_miss):
-                    try:
-                        self.promote_shard(i)
-                    except (Busy, Closed):
-                        pass  # raced an explicit promote or a close
+    def _fail_over(self, index: int) -> None:  # standby reactor
+        """Shard *index*'s feed hung up: its primary is gone."""
+        try:
+            self.promote_shard(index)
+        except (Busy, Closed):
+            pass  # raced an explicit promote or a close
 
     def kill_shard(self, index: int) -> None:
         """Crash shard *index*'s primary (the SIGKILL stand-in).
 
         Connections sever mid-RPC, nothing is flushed or torn down,
-        and the standby's feed goes silent — detection and promotion
+        and the standby's feed hangs up — detection and promotion
         then run exactly as they would for a real dead process.
         """
         pair = self.pairs[index]
@@ -433,9 +418,6 @@ class ShardRouter:
         if self._closed:
             return
         self._closed = True
-        self._monitor_stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=5)
 
         def shutdown() -> None:  # router loop
             for sock in self._sockets:

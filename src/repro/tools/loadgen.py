@@ -122,9 +122,6 @@ FAULT_EVERY = 10
 
 _RETRIES = 3  # bounded retry on busy replies (client-side backpressure)
 
-# chaos: feed heartbeat interval (detection = 3 missed beats)
-CHAOS_HEARTBEAT = 0.05
-
 
 @dataclass(frozen=True)
 class TrafficModel:
@@ -288,8 +285,7 @@ class LoadGen:
                  workers: int = 8, transport: str = "tcp",
                  think_scale: float = 0.0, faults: bool = False,
                  models: list[TrafficModel] | None = None,
-                 max_live: int | None = None, chaos: int = 0,
-                 chaos_heartbeat: float = CHAOS_HEARTBEAT) -> None:
+                 max_live: int | None = None, chaos: int = 0) -> None:
         if users < 1:
             raise ValueError("a fleet needs at least one user")
         if chaos and (not shards or chaos > shards):
@@ -300,7 +296,6 @@ class LoadGen:
         self.shards = shards
         self.seed = seed
         self.chaos = chaos
-        self.chaos_heartbeat = chaos_heartbeat
         self._chaos_stop = threading.Event()
         self.workers = max(1, min(workers, users))
         self.transport = transport
@@ -510,9 +505,7 @@ class LoadGen:
         by_name = {m.name: m for m in models}
         plans = schedule(self.seed, self.users, models)
         crc = schedule_crc(plans)
-        replica = ({"replicate": True,
-                    "heartbeat_interval": self.chaos_heartbeat}
-                   if self.chaos else {})
+        replica = {"replicate": True} if self.chaos else {}
         target = make_host(self.shards, workers=4, max_live=self.max_live,
                            plan_for=self._plan_for if self.faults else None,
                            **replica)

@@ -14,7 +14,8 @@ one recording step (:func:`record_figures`) and one screen comparator
   worlds;
 - ``faults``: the standard four-fault schedule, degraded gracefully;
 - ``crash``: a torn journal write, then recovery;
-- ``kill-primary``: a real SIGKILL of a replicated primary process.
+- ``kill-primary``: a replicated primary process is paused, which
+  the standby must ride out, then killed for real with SIGKILL.
 
 ::
 
@@ -38,8 +39,10 @@ usage errors.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pathlib
 import random
+import signal
 import sys
 import threading
 import time
@@ -66,7 +69,6 @@ GOLDENS = ROOT / "tests" / "goldens"
 ARTIFACTS = ROOT / "bench_artifacts"
 MOUNT = "/mnt/help"
 JOURNAL_PATH = "/usr/rob/help.journal"
-HEARTBEAT = 0.1        # replica feed heartbeat; detection = 3 missed beats
 KILL_TIMEOUT = 30.0    # child start-up, kill detection, and resume
 
 USES = "./dat.h:136\nexec.c:213\nexec.c:252\nhelp.c:35\n"
@@ -680,8 +682,8 @@ def run_primary(standby_addr, conn) -> None:
     """Child process: host the primary, shipping to *standby_addr*,
     until SIGKILL takes it; its address goes back over *conn*."""
     primary = SessionHost(width=WIDTH, height=HEIGHT)
-    primary.attach_replica(ReplicaFeed(
-        dial(*standby_addr), metrics=primary.metrics, heartbeat=HEARTBEAT))
+    primary.attach_replica(ReplicaFeed(dial(*standby_addr),
+                                       metrics=primary.metrics))
     conn.send(primary.listen())
     while True:  # the parent's SIGKILL is the only way out
         time.sleep(60)
@@ -705,12 +707,14 @@ def split_points(seed: int, lines: dict[str, list[str]]) -> dict[str, int]:
 def check_kill_primary(scripts: dict[str, dict]) -> list[str]:
     """A primary host in a child process ships every journal to a
     standby here in sync mode.  With every figure mid-stream the child
-    is SIGKILLed and the standby promoted; each figure must resume with
-    every acknowledged write held and finish on its golden."""
+    is paused, which must not read as its death, then SIGKILLed and
+    the standby promoted; each figure must resume with every
+    acknowledged write held and finish on its golden."""
     lines = {name: script["input"].splitlines(keepends=True)
              for name, script in scripts.items()}
-    standby = ReplicaStandby(width=WIDTH, height=HEIGHT, id_prefix="kp.",
-                             heartbeat=HEARTBEAT)
+    standby = ReplicaStandby(width=WIDTH, height=HEIGHT, id_prefix="kp.")
+    lost = threading.Event()
+    standby.on_lost = lost.set
     context = multiprocessing.get_context("spawn")
     here, there = context.Pipe()
     child = context.Process(target=run_primary, daemon=True,
@@ -719,7 +723,7 @@ def check_kill_primary(scripts: dict[str, dict]) -> list[str]:
     there.close()  # the child's end: its death now reads as EOF here
     clients: list[MuxClient] = []
     try:
-        problems = _kill_and_promote(standby, child, here, lines,
+        problems = _kill_and_promote(standby, lost, child, here, lines,
                                      split_points(1, lines), clients)
     finally:
         for client in clients:
@@ -731,7 +735,7 @@ def check_kill_primary(scripts: dict[str, dict]) -> list[str]:
     return [f"kill-primary: {p}" for p in problems]
 
 
-def _kill_and_promote(standby, child, here, lines, acked,
+def _kill_and_promote(standby, lost, child, here, lines, acked,
                       clients) -> list[str]:
     try:
         addr = here.recv() if here.poll(KILL_TIMEOUT) else None
@@ -749,13 +753,16 @@ def _kill_and_promote(standby, child, here, lines, acked,
                     sink.write(line)
         except (FsError, OSError) as exc:
             return [f"{name}: write failed before the kill: {exc!r}"]
+    # a stopped process keeps its sockets open: slow is not dead
+    os.kill(child.pid, signal.SIGSTOP)
+    time.sleep(1.0)
+    os.kill(child.pid, signal.SIGCONT)
+    if lost.is_set():
+        return ["the standby declared a paused primary lost"]
     child.kill()  # SIGKILL: no teardown, no flush, no goodbye
     child.join(10)
-    deadline = time.monotonic() + KILL_TIMEOUT
-    while standby.primary_alive(miss=3):
-        if time.monotonic() > deadline:
-            return ["the standby never noticed the kill"]
-        time.sleep(HEARTBEAT / 5)
+    if not lost.wait(KILL_TIMEOUT):
+        return ["the standby never noticed the kill"]
     report = standby.promote()
     problems = [f"promote: {p}" for p in report["problems"]]
     if report["sessions"] != len(lines):

@@ -55,7 +55,7 @@ messages = st.one_of(
               message=texts),
     st.builds(wire.Tship, tag=tags, sid=names,
               verb=st.sampled_from(["reset", "append", "state", "drop",
-                                    "ping"]),
+                                    "hello"]),
               seq=offsets, crc=fids, meta=names, data=texts),
     st.builds(wire.Rship, tag=tags, ack=offsets),
 )

@@ -1,17 +1,19 @@
 """Journal-shipping replication: feed, standby, promotion, failover.
 
-The load-bearing scenario is the ISSUE's: a primary host ships every
-durable journal event to a standby in ``sync`` mode, the primary is
-killed with no teardown whatsoever, the standby notices the feed
-silence, is promoted, and the session's owner re-attaches to find the
-screen byte-identical and every acknowledged write held — the
-``inputs`` file is the proof.  The router tests cover the monitor
-thread's end of it: detection, slot repointing, and the audit that
+The load-bearing scenario: a primary host ships every durable
+journal event to a standby in ``sync`` mode, the primary is killed
+with no teardown whatsoever, the standby sees the feed hang up, is
+promoted, and the session's owner re-attaches to find the screen
+byte-identical and every acknowledged write held — the ``inputs``
+file is the proof.  The router tests cover the router's end of it:
+promotion on hang-up (and only on hang-up: a paused primary or an
+orderly close promotes nothing), slot repointing, and the audit that
 folds the standby's books in.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -23,8 +25,6 @@ from repro.fs.namespace import Namespace
 from repro.fs.vfs import VFS
 from repro.serve import SessionHost, ShardRouter, input_line
 from repro.serve.replica import ReplicaFeed, ReplicaPair, ReplicaStandby
-
-HEARTBEAT = 0.05
 
 
 def _attach(host, aname):
@@ -51,7 +51,7 @@ def _wait(predicate, timeout=10.0, interval=0.01):
 @pytest.fixture
 def pair():
     primary = SessionHost(width=100, height=40)
-    p = ReplicaPair(primary, heartbeat=HEARTBEAT, standby_prefix="t.")
+    p = ReplicaPair(primary, standby_prefix="t.")
     yield p
     p.close()
 
@@ -100,7 +100,7 @@ class TestSyncShipping:
 
 class TestStandbyHandler:
     def test_crc_mismatch_is_rejected_loudly(self):
-        standby = ReplicaStandby(width=100, height=40, heartbeat=HEARTBEAT)
+        standby = ReplicaStandby(width=100, height=40)
         try:
             with pytest.raises(IOFault):
                 standby._on_ship(wire.Tship(sid="x", verb="reset", seq=1,
@@ -111,7 +111,7 @@ class TestStandbyHandler:
             standby.close()
 
     def test_orphan_append_waits_for_a_reset(self):
-        standby = ReplicaStandby(width=100, height=40, heartbeat=HEARTBEAT)
+        standby = ReplicaStandby(width=100, height=40)
         try:
             import zlib
             data = "1 x y\n"
@@ -123,11 +123,6 @@ class TestStandbyHandler:
         finally:
             standby.close()
 
-    def test_heartbeats_keep_the_primary_alive(self, pair):
-        assert _wait(lambda: pair.primary.metrics.counter(
-            "replica.heartbeat.sent") >= 2)
-        assert pair.standby.primary_alive(miss=3)
-
 
 class TestFailover:
     def test_kill_detect_promote_screen_identical(self, pair):
@@ -137,9 +132,10 @@ class TestFailover:
         inputs_acked = int(ns.read("/s/inputs"))
         assert inputs_acked > 0
 
+        lost = threading.Event()
+        pair.standby.on_lost = lost.set
         pair.kill_primary()
-        assert _wait(lambda: not pair.standby.primary_alive(miss=3),
-                     timeout=5.0)
+        assert lost.wait(5.0)  # the feed hung up
         report = pair.promote()[1]
         assert report["sessions"] == 1 and report["live"] == 1
         assert report["problems"] == []
@@ -211,11 +207,20 @@ class TestFailover:
             ns.read("/s/screen")
         client.close()
 
+    def test_orderly_close_promotes_nothing(self, pair):
+        """The standby closes before the feed, so a close with a live
+        session is never read as the primary's death."""
+        client, ns = _attach(pair.primary, "alice")
+        ns.append("/s/input", _newwin("/tmp/note", "hello"))
+        pair.close()
+        assert pair.standby.metrics.counter("replica.feed.lost") == 0
+        assert not pair.promoted
+        client.close()
+
 
 class TestRouterFailover:
-    def test_monitor_detects_and_repoints(self):
-        router = ShardRouter(shards=2, replicate=True,
-                             heartbeat_interval=HEARTBEAT)
+    def test_hang_up_detects_and_repoints(self):
+        router = ShardRouter(shards=2, replicate=True)
         try:
             client, ns = _attach(router, "alice")
             ns.append("/s/input", _newwin("/tmp/note", "body text"))
@@ -224,7 +229,7 @@ class TestRouterFailover:
                          if "alice" in h.sessions)
 
             router.kill_shard(index)
-            # the monitor thread notices the silence and promotes
+            # the standby reads the hang-up and the router promotes
             assert _wait(lambda: router.metrics.counter(
                 "router.shards.promoted") == 1, timeout=10.0)
             assert router.hosts[index] is router.pairs[index].standby.host
@@ -240,9 +245,9 @@ class TestRouterFailover:
 
     def test_close_under_live_connections_audits_clean(self):
         """Each live session's drop ships before its feed stops, so
-        closing a replicated router books no session error anywhere."""
-        router = ShardRouter(shards=2, replicate=True,
-                             heartbeat_interval=HEARTBEAT)
+        closing a replicated router books no session error anywhere,
+        and no feed's hang-up reads as a lost primary."""
+        router = ShardRouter(shards=2, replicate=True)
         clients = []
         try:
             for name in ("alice", "bob", "carol", "dave"):
@@ -252,8 +257,63 @@ class TestRouterFailover:
         finally:
             router.close()
         assert router.audit() == []
+        assert router.metrics.counter("router.shards.promoted") == 0
+        for pair in router.pairs:
+            assert pair.standby.metrics.counter("replica.feed.lost") == 0
         for client in clients:
             client.close()
+
+    def test_a_paused_primary_keeps_its_shard(self):
+        """A primary that ships nothing for a second is slow, not dead:
+        nothing promotes, and the write it acknowledges after the
+        pause survives the real failover that follows."""
+        router = ShardRouter(shards=1, replicate=True)
+        try:
+            client, ns = _attach(router, "alice")
+            ns.append("/s/input", _newwin("/tmp/note", "before"))
+            with router.pairs[0].feed._lock:
+                time.sleep(1.0)  # no frame leaves the primary
+            ns.append("/s/input", _newwin("/tmp/late", "after"))
+            acked = int(ns.read("/s/inputs"))
+            assert router.metrics.counter("router.shards.promoted") == 0
+
+            router.kill_shard(0)
+            client.close()
+            assert _wait(lambda: router.hosts[0]
+                         is router.pairs[0].standby.host)
+            client2, ns2 = _attach(router, "alice")
+            assert int(ns2.read("/s/inputs")) == acked
+            assert "/tmp/late" in ns2.read("/s/screen")
+            client2.close()
+        finally:
+            router.close()
+
+    def test_idle_router_fails_over_within_250ms(self):
+        """Detection is the hang-up itself: no silence is timed."""
+        router = ShardRouter(shards=2, replicate=True)
+        try:
+            start = time.monotonic()
+            router.kill_shard(0)
+            assert _wait(lambda: router.hosts[0]
+                         is router.pairs[0].standby.host, interval=0.001)
+            assert time.monotonic() - start < 0.25
+        finally:
+            router.close()
+
+    def test_kill_before_any_attach_fails_over(self):
+        """The feed's hello marks it before any journal ships, so a
+        primary killed before its first attach still fails over."""
+        router = ShardRouter(shards=1, replicate=True)
+        try:
+            router.kill_shard(0)
+            assert _wait(lambda: router.hosts[0]
+                         is router.pairs[0].standby.host)
+            client, ns = _attach(router, "alice")
+            ns.append("/s/input", _newwin("/tmp/note", "hello"))
+            assert "alice" in router.pairs[0].standby.host.sessions
+            client.close()
+        finally:
+            router.close()
 
     def test_replicate_requires_journalling(self):
         with pytest.raises(ValueError):

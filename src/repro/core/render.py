@@ -40,15 +40,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class _ScreenCache:
-    """Persistent canvas plus the signatures it was painted from."""
+    """Persistent canvas plus the signatures it was painted from, and
+    the grid joined from it: each row's string and the whole."""
 
-    __slots__ = ("canvas", "structure", "window_sigs")
+    __slots__ = ("canvas", "structure", "window_sigs", "rows", "grid")
 
     def __init__(self, canvas: list[list[str]], structure: object,
-                 window_sigs: dict[int, object]) -> None:
+                 window_sigs: dict[int, object], rows: list[str]) -> None:
         self.canvas = canvas
         self.structure = structure
         self.window_sigs = window_sigs
+        self.rows = rows
+        self.grid = "\n".join(rows)
 
 
 _screen_caches: "weakref.WeakKeyDictionary[Help, _ScreenCache]" = \
@@ -78,7 +81,9 @@ def render_screen(help_app: "Help", footer: bool = True,
 
     With ``full=True`` the persistent canvas is neither used nor
     touched: the grid is painted from scratch, which regression tests
-    compare against the damage-tracked output.
+    compare against the damage-tracked output.  Otherwise only the
+    rows of repainted windows are joined again, and an unchanged
+    screen returns the cached grid itself; the footer is always new.
     """
     rect = help_app.screen.rect
     cache = None if full else _screen_caches.get(help_app)
@@ -89,25 +94,39 @@ def render_screen(help_app: "Help", footer: bool = True,
             _render_column(help_app, column, canvas)
         incr("render.full")
         incr("render.cells_repainted", rect.width * rect.height)
-        if not full:
+        rows = [_join(row) for row in canvas]
+        if full:
+            grid = "\n".join(rows)
+        else:
             sigs = {window.id: _window_sig(column, window)
                     for column in help_app.screen.columns
                     for window in column.visible()}
-            _screen_caches[help_app] = _ScreenCache(canvas, structure, sigs)
+            cache = _ScreenCache(canvas, structure, sigs, rows)
+            _screen_caches[help_app] = cache
+            grid = cache.grid
     else:
-        canvas = cache.canvas
         incr("render.damage")
+        dirty: set[int] = set()
         for column in help_app.screen.columns:
             for window in column.visible():
                 sig = _window_sig(column, window)
                 if cache.window_sigs.get(window.id) != sig:
-                    _repaint_window(column, window, canvas)
+                    wrect = _repaint_window(column, window, cache.canvas)
+                    if wrect is not None:
+                        dirty.update(range(wrect.y0, wrect.y1))
                     cache.window_sigs[window.id] = sig
-    lines = ["".join(row).rstrip() for row in canvas]
-    out = "\n".join(lines)
+        if dirty:
+            for y in dirty:
+                cache.rows[y] = _join(cache.canvas[y])
+            cache.grid = "\n".join(cache.rows)
+        grid = cache.grid
     if footer:
-        out += "\n" + _footer(help_app)
-    return out
+        return grid + "\n" + _footer(help_app)
+    return grid
+
+
+def _join(row: list[str]) -> str:
+    return "".join(row).rstrip()
 
 
 def _render_column(help_app: "Help", column, canvas: list[list[str]]) -> None:
@@ -143,17 +162,21 @@ def _paint_window(column, window, canvas: list[list[str]]) -> None:
             _put(canvas, wrect.y0 + 1 + line.row, column.body_x0, text[:width])
 
 
-def _repaint_window(column, window, canvas: list[list[str]]) -> None:
-    """Damage repaint: blank the window's rect, then draw it fresh."""
+def _repaint_window(column, window, canvas: list[list[str]]):
+    """Damage repaint: blank the window's rect, then draw it fresh.
+
+    Returns the rect repainted (None for a window with no room).
+    """
     wrect = column.win_rect(window)
     if wrect is None:
-        return
+        return None
     blank = [" "] * wrect.width
     for y in range(wrect.y0, wrect.y1):
         canvas[y][wrect.x0:wrect.x1] = blank
     incr("render.cells_repainted", wrect.width * wrect.height)
     incr("render.windows_repainted")
     _paint_window(column, window, canvas)
+    return wrect
 
 
 def _put(canvas: list[list[str]], row: int, x0: int, s: str) -> None:

@@ -18,10 +18,16 @@ every read is short, exercising frame reassembly), and
 TCP.  So the server's reactor selects on one fd kind, and in-process
 channels get the same write-queue backpressure as TCP.
 
+A connection's requests are served and answered in arrival order, so
+a client may send a fid's whole chain — walk, open, read, clunk — in
+one write: :meth:`MuxClient.batch` does, and a :class:`RemoteFile`
+read or write is one round trip.  Both TCP ends turn off Nagle, which
+would otherwise hold part of a chain back for a delayed ACK.
+
 Flow control: the client bounds its own outstanding requests with a
-semaphore, and the server protects itself independently — a connection
-exceeding ``max_outstanding`` in-flight requests gets ``busy`` error
-replies until it drains.
+window of permits, and the server protects itself independently — a
+connection exceeding ``max_outstanding`` in-flight requests gets
+``busy`` error replies until it drains.
 
 Instrumentation (:mod:`repro.metrics`): the server counts every RPC
 (``wire.rpc.<op>``) and byte (``wire.bytes.in`` / ``wire.bytes.out``),
@@ -152,7 +158,16 @@ def channel_pair(max_chunk: int | None = None
 
 def dial(host: str, port: int) -> SocketChannel:
     """Connect to a :meth:`WireServer.listen` endpoint."""
-    return SocketChannel(socket.create_connection((host, port)))
+    sock = socket.create_connection((host, port))
+    _no_delay(sock)
+    return SocketChannel(sock)
+
+
+def _no_delay(sock: socket.socket) -> None:
+    """Turn off Nagle: a chain's reply may leave in several small
+    writes, and Nagle holding one back for the delayed ACK of the last
+    stalls the whole chain by tens of milliseconds."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class FrameReader:
@@ -269,6 +284,7 @@ class _Reactor:
                     client, _addr = sock.accept()
                 except OSError:
                     return  # drained, or the listener closed
+                _no_delay(client)
                 adopt(SocketChannel(client))
 
         self.submit(lambda: self.register(sock, selectors.EVENT_READ,
@@ -370,14 +386,22 @@ class _ConnHandle:
 
 
 class _FidState:
-    """What a connection's fid currently refers to."""
+    """What a connection's fid currently refers to.
 
-    __slots__ = ("node", "path", "session")
+    ``node`` is None for the newfid of a walk that missed or failed: a
+    chain may have queued ops on it, and they answer with the walk's
+    miss or error.  ``failed`` holds the error a failed walk or open
+    raised, so the ops queued behind it answer with that same error.
+    """
 
-    def __init__(self, node: Node, path: str) -> None:
+    __slots__ = ("node", "path", "session", "failed")
+
+    def __init__(self, node: Node | None, path: str,
+                 failed: FsError | None = None) -> None:
         self.node = node
         self.path = path
         self.session = None  # set by open
+        self.failed = failed
 
 
 class _Connection:
@@ -530,7 +554,6 @@ class _Connection:
 
     def _dispatch(self, msg: wire.Message) -> bool:
         """Queue *msg* for service; True = stop parsing this burst."""
-        incr(f"wire.rpc.{msg.op}")
         with self._lock:
             busy = self.inflight >= self.server.max_outstanding
             if not busy:
@@ -538,6 +561,7 @@ class _Connection:
         if busy:
             # backpressure: the client has too many requests in
             # flight; refuse this one instead of queueing unbounded
+            incr(f"wire.rpc.{msg.op}")
             err = wire.Rerror.from_exc(
                 msg.tag, Busy("server busy: too many outstanding "
                               "requests", path="<wire>", op=msg.op))
@@ -596,6 +620,9 @@ class _Connection:
             self.reactor.submit(self._resume_attach)
 
     def _serve_bound(self, msg: wire.Message) -> None:
+        # counted where served, not where decoded: a ledger read inside
+        # a chain must not see the ops queued behind it
+        incr(f"wire.rpc.{msg.op}")
         start = time.perf_counter()
         try:
             reply = self._handle(msg)
@@ -722,26 +749,31 @@ class _Connection:
                               path="<wire>", op="ship")
             self.feed = True
             return wire.Rship(tag=msg.tag, ack=handler(msg))
-        if isinstance(msg, wire.Twalk):
-            with lock:
-                return self._walk(msg)
-        if isinstance(msg, wire.Topen):
-            with lock:
-                return self._open(msg)
-        if isinstance(msg, wire.Tread):
-            with lock:
-                return self._read(msg)
-        if isinstance(msg, wire.Twrite):
-            with lock:
-                return self._write(msg)
+        handler = self._FID_OPS.get(type(msg))
+        if handler is None:
+            raise Invalid(f"unexpected message {type(msg).__name__}",
+                          path="<wire>", op="dispatch")
+        with lock:
+            with self._lock:
+                state = self.fids.get(msg.fid)
+            if state is not None and state.node is None:
+                return self._unlinked_op(msg, state)
+            return handler(self, msg)
+
+    def _unlinked_op(self, msg, state: _FidState) -> wire.Message:
+        """Answer an op queued on the newfid of a walk that missed or
+        failed: with the walk's own error, or for a miss an Rerror built
+        without constructing one, so nothing is booked behind it.  A
+        clunk forgets the fid.
+        """
         if isinstance(msg, wire.Tclunk):
-            with lock:
-                return self._clunk(msg)
-        if isinstance(msg, wire.Tstat):
-            with lock:
-                return self._stat(msg)
-        raise Invalid(f"unexpected message {type(msg).__name__}",
-                      path="<wire>", op="dispatch")
+            with self._lock:
+                self.fids.pop(msg.fid, None)
+        if state.failed is not None:
+            raise state.failed
+        return wire.Rerror(tag=msg.tag, kind=NotFound.kind, errop="walk",
+                           path=state.path,
+                           message=NotFound.fmt.format(path=state.path))
 
     def _fid(self, fid: int, op: str) -> _FidState:
         with self._lock:
@@ -765,19 +797,23 @@ class _Connection:
     def _walk(self, msg: wire.Twalk) -> wire.Message:
         src = self._fid(msg.fid, "walk")
         with self._lock:
-            if msg.newfid != msg.fid and msg.newfid in self.fids:
-                raise Invalid(f"fid {msg.newfid} already in use",
-                              path="<wire>", op="walk")
+            held = self.fids.get(msg.newfid)
+        if msg.newfid != msg.fid and held is not None and held.node is not None:
+            raise Invalid(f"fid {msg.newfid} already in use",
+                          path="<wire>", op="walk")
         node, path = src.node, src.path
         for name in msg.names:
             if not isinstance(node, Dir):
-                raise NotADirectory(path=path, op="walk")
+                error = NotADirectory(path=path, op="walk")
+                self._unlinked(msg, path, error)
+                raise error
             child = node.lookup(name)
             path = join(path, name)
             if child is None:
                 # a clean miss is an answer, not an error — local
                 # resolve() returns None without raising, and a remote
                 # lookup must not poison fs.error.* counters either
+                self._unlinked(msg, path)
                 return wire.Rwalk(tag=msg.tag, found=False)
             node = child
         with self._lock:
@@ -785,18 +821,30 @@ class _Connection:
         return wire.Rwalk(tag=msg.tag, found=True, is_dir=node.is_dir,
                           mtime=node.mtime)
 
+    def _unlinked(self, msg: wire.Twalk, path: str,
+                  error: FsError | None = None) -> None:
+        """Remember the newfid of a walk that missed or failed, for
+        whatever a chain queued on it; a later walk may reuse it."""
+        if msg.newfid != msg.fid:
+            with self._lock:
+                self.fids[msg.newfid] = _FidState(None, path, error)
+
     def _open(self, msg: wire.Topen) -> wire.Message:
         state = self._fid(msg.fid, "open")
         if state.session is not None:
             raise Invalid(f"fid {msg.fid} already open",
                           path=state.path, op="open")
-        if state.node.is_dir:
-            raise IsADirectory(path=state.path, op="open")
-        opener = getattr(state.node, "open", None)
-        if opener is None:
-            raise Invalid(f"'{state.path}' cannot be opened",
-                          path=state.path, op="open")
-        session = opener(msg.mode)
+        try:
+            if state.node.is_dir:
+                raise IsADirectory(path=state.path, op="open")
+            opener = getattr(state.node, "open", None)
+            if opener is None:
+                raise Invalid(f"'{state.path}' cannot be opened",
+                              path=state.path, op="open")
+            session = opener(msg.mode)
+        except FsError as exc:
+            state.failed = exc
+            raise
         if isinstance(session, FileHandle) and self.server.clock is not None:
             session._clock = self.server.clock
         state.session = session
@@ -805,6 +853,8 @@ class _Connection:
     def _session(self, msg, op: str):
         state = self._fid(msg.fid, op)
         if state.session is None:
+            if state.failed is not None:
+                raise state.failed  # the open's own error, booked once
             raise Invalid(f"fid {msg.fid} not open", path=state.path, op=op)
         return state
 
@@ -837,6 +887,9 @@ class _Connection:
                                        mtime=child.mtime)
                         for child in node.entries()]
         return wire.Rstat(tag=msg.tag, stat=stat, children=children)
+
+    _FID_OPS = {wire.Twalk: _walk, wire.Topen: _open, wire.Tread: _read,
+                wire.Twrite: _write, wire.Tclunk: _clunk, wire.Tstat: _stat}
 
     def _start_teardown(self) -> None:  # reactor thread only
         if self._torn:
@@ -1060,11 +1113,12 @@ class _Pending:
 class MuxClient:
     """One connection's client end: tagged, concurrent, bounded.
 
-    Many threads may call :meth:`rpc` at once; each call takes a free
-    tag, and a receiver thread routes replies back by tag, so slow
-    requests do not block fast ones.  ``max_outstanding`` bounds the
-    requests in flight — the client-side half of flow control (the
-    server enforces its own limit with ``busy`` replies).
+    Many threads may call :meth:`rpc` or :meth:`batch` at once; each
+    message takes a free tag, and a receiver thread routes replies
+    back by tag, so slow requests do not block fast ones.
+    ``max_outstanding`` bounds the requests in flight — the client-side
+    half of flow control (the server enforces its own limit with
+    ``busy`` replies).
     """
 
     ROOT_FID = 0
@@ -1077,7 +1131,10 @@ class MuxClient:
         self._pending: dict[int, _Pending] = {}
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
-        self._sem = threading.BoundedSemaphore(max_outstanding)
+        # the in-flight window: free permits, one per frame, taken and
+        # returned under _lock
+        self._window = threading.Condition(self._lock)
+        self._permits = self._max_outstanding = max_outstanding
         self._next_tag = 0
         self._next_fid = self.ROOT_FID + 1
         self._free_fids: list[int] = []
@@ -1129,38 +1186,74 @@ class MuxClient:
 
     def rpc(self, msg: wire.Message) -> wire.Message:
         """Send one T-message, wait for its R-message, raise Rerrors."""
-        with self._sem:
-            with self._lock:
-                if self._closed:
-                    raise Closed("connection closed", path="<wire>",
-                                 op=msg.op)
-                tag = self._alloc_tag()
-                slot = _Pending()
-                self._pending[tag] = slot
-            msg.tag = tag
-            start = time.perf_counter()
-            try:
-                with self._send_lock:
-                    self._channel.send(wire.encode(msg))
-            except (Closed, OSError) as exc:
-                with self._lock:
-                    self._pending.pop(tag, None)
-                raise IOFault(f"send failed: {exc}", path="<wire>",
-                              op=msg.op) from exc
-            if not slot.event.wait(self._timeout):
-                with self._lock:
-                    self._pending.pop(tag, None)
-                raise IOFault(f"rpc timed out after {self._timeout}s",
-                              path="<wire>", op=msg.op)
-            observe(f"mux.rpc.{msg.op}",
-                    (time.perf_counter() - start) * 1e6)
-        reply = slot.reply
-        if reply is None:
-            raise IOFault("connection closed awaiting reply",
-                          path="<wire>", op=msg.op)
+        reply, = self.batch([msg])
         if isinstance(reply, wire.Rerror):
             raise reply.to_exc()
         return reply
+
+    def batch(self, msgs: list[wire.Message]) -> list[wire.Message]:
+        """Send a chain of T-messages; return their replies in order.
+
+        The chain goes out in one transport write — a chain longer than
+        ``max_outstanding`` in writes of at most that many frames — and
+        the server serves a connection's requests in arrival order, so
+        a later message may use the fid an earlier one walks.  An
+        ``Rerror`` comes back as a reply, not raised; a lost transport
+        raises :class:`IOFault` (or :class:`Closed`).
+        """
+        size = self._max_outstanding
+        replies: list[wire.Message] = []
+        for i in range(0, len(msgs), size):
+            replies += self._send_wait(msgs[i:i + size])
+        return replies
+
+    def _send_wait(self, msgs: list[wire.Message]) -> list[wire.Message]:
+        n = len(msgs)
+        with self._lock:
+            # one permit per frame, all taken at once: two chains that
+            # each hold part of the window can never wait on each other
+            while self._permits < n:
+                self._window.wait()
+            if self._closed:
+                raise Closed("connection closed", path="<wire>",
+                             op=msgs[0].op)
+            self._permits -= n
+        try:
+            slots = []
+            with self._lock:
+                for msg in msgs:
+                    msg.tag = self._alloc_tag()
+                    slot = self._pending[msg.tag] = _Pending()
+                    slots.append(slot)
+            start = time.perf_counter()
+            try:
+                with self._send_lock:
+                    self._channel.send(b"".join(map(wire.encode, msgs)))
+            except (Closed, OSError) as exc:
+                self._forget(msgs)
+                raise IOFault(f"send failed: {exc}", path="<wire>",
+                              op=msgs[0].op) from exc
+            deadline = start + self._timeout
+            for msg, slot in zip(msgs, slots):
+                if not slot.event.wait(deadline - time.perf_counter()):
+                    self._forget(msgs)
+                    raise IOFault(f"rpc timed out after {self._timeout}s",
+                                  path="<wire>", op=msg.op)
+                if slot.reply is None:
+                    raise IOFault("connection closed awaiting reply",
+                                  path="<wire>", op=msg.op)
+                observe(f"mux.rpc.{msg.op}",
+                        (time.perf_counter() - start) * 1e6)
+        finally:
+            with self._lock:
+                self._permits += n
+                self._window.notify_all()
+        return [slot.reply for slot in slots]
+
+    def _forget(self, msgs: list[wire.Message]) -> None:
+        with self._lock:
+            for msg in msgs:
+                self._pending.pop(msg.tag, None)
 
     def _alloc_tag(self) -> int:
         for _ in range(0x10000):
@@ -1315,7 +1408,14 @@ class RemoteSession:
 
 
 class RemoteFile(File):
-    """A client-side proxy for a file served across the wire."""
+    """A client-side proxy for a file served across the wire.
+
+    Each access is one chain in one write: walk a fresh fid and open
+    it, and for ``data`` also read or write it and clunk.  A screen
+    poll is one round trip.  The first failure in chain order is the
+    one raised; the replies behind it are dropped unread, so the
+    client books only that one error.
+    """
 
     def __init__(self, client: MuxClient, path: str, mtime: int = 0) -> None:
         Node.__init__(self, basename(path))  # no local .data storage
@@ -1325,22 +1425,57 @@ class RemoteFile(File):
 
     @property
     def data(self) -> str:  # type: ignore[override]
-        with self.open("r") as session:
-            return session.read()
+        return self._transfer("r", wire.Tread())[2].data
 
     @data.setter
     def data(self, value: str) -> None:
-        with self.open("w") as session:
-            session.write(value)
+        self._transfer("w", wire.Twrite(data=value))
 
     def open(self, mode: str) -> RemoteSession:
-        fid = self._client.walk_fid(self._path)
+        client = self._client
+        fid = client.alloc_fid()
         try:
-            self._client.rpc(wire.Topen(fid=fid, mode=mode))
+            walked, opened = client.batch(self._walk_open(fid, mode))
         except FsError:
-            self._client.clunk(fid)
+            client.free_fid(fid)
             raise
-        return RemoteSession(self._client, fid, mode, self._path)
+        failure = self._failure([walked, opened])
+        if failure is None:
+            return RemoteSession(client, fid, mode, self._path)
+        if isinstance(walked, wire.Rwalk) and walked.found:
+            client.clunk(fid)  # the open failed on a walked fid
+        else:
+            client.free_fid(fid)
+        raise failure
+
+    def _transfer(self, mode: str, op: wire.Message) -> list[wire.Message]:
+        """Walk, open in *mode*, *op*, clunk: one chain on a fresh fid."""
+        client = self._client
+        fid = op.fid = client.alloc_fid()
+        try:
+            replies = client.batch(self._walk_open(fid, mode)
+                                   + [op, wire.Tclunk(fid=fid)])
+        finally:
+            client.free_fid(fid)
+        failure = self._failure(replies)
+        if failure is not None:
+            raise failure
+        return replies
+
+    def _walk_open(self, fid: int, mode: str) -> list[wire.Message]:
+        return [wire.Twalk(fid=MuxClient.ROOT_FID, newfid=fid,
+                           names=split_path(self._path)),
+                wire.Topen(fid=fid, mode=mode)]
+
+    def _failure(self, replies: list[wire.Message]) -> FsError | None:
+        """The first failure in chain order; a missed walk is the
+        walk's NotFound, not the error of the open queued behind it."""
+        for reply in replies:
+            if isinstance(reply, wire.Rerror):
+                return reply.to_exc()
+            if isinstance(reply, wire.Rwalk) and not reply.found:
+                return NotFound(path=self._path, op="walk")
+        return None
 
 
 class RemoteDir(Dir):

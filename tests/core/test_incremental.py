@@ -172,8 +172,10 @@ class TestDamageTrackedRender:
             elif op == "resize":
                 h.resize(rng.choice([100, 120, 140]), rng.choice([36, 40]))
             incremental = render_screen(h)
+            again = render_screen(h)  # the cached grid, footer renewed
             scratch = render_screen(h, full=True)
             assert incremental == scratch, (seed, step, op)
+            assert again == scratch, (seed, step, op)
 
     def test_damage_render_identical_to_full(self):
         for seed in (3, 17, 42):
@@ -189,3 +191,25 @@ class TestDamageTrackedRender:
         # the damage path itself touched zero cells
         damage_painted = counter("render.cells_repainted") - before
         assert damage_painted == h.screen.rect.width * h.screen.rect.height
+
+    def test_unchanged_screen_returns_the_cached_grid(self):
+        system = build_system(width=120, height=40)
+        h = system.help
+        grid = render_screen(h, footer=False)
+        assert render_screen(h, footer=False) is grid
+
+    def test_click_keeps_the_grid_and_renews_the_footer(self):
+        """A click moves the selection, which only the footer shows:
+        the grid is not joined again, the footer is."""
+        system = build_system(width=120, height=40)
+        h = system.help
+        grid = render_screen(h, footer=False)
+        footer = render_screen(h).rsplit("\n", 1)[1]
+        window = h.window_by_name("/help/edit/stf")
+        column = h.screen.column_of(window)
+        h.left_click(column.body_x0 + 2, column.win_rect(window).y0 + 1)
+        assert render_screen(h, footer=False) is grid
+        screen = render_screen(h)
+        assert screen == render_screen(h, full=True)
+        assert screen.rsplit("\n", 1)[1] != footer
+        assert f"window {window.id}" in screen.rsplit("\n", 1)[1]

@@ -1,6 +1,8 @@
 """The multiplexed transport: sessions, concurrency, backpressure, faults."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.fs.errors import (
     Invalid,
     IOFault,
     IsADirectory,
+    NotADirectory,
     NotFound,
     Permission,
 )
@@ -17,6 +20,7 @@ from repro.fs.faults import Fault, FaultPlan
 from repro.fs.mux import (
     FrameReader,
     MuxClient,
+    RemoteFile,
     WireServer,
     channel_pair,
     dial,
@@ -25,7 +29,7 @@ from repro.fs.mux import (
 from repro.fs.namespace import Namespace
 from repro.fs.server import SynthDir, SynthFile
 from repro.fs.vfs import VFS
-from repro.metrics.counter import counter, counters
+from repro.metrics.counter import MetricsRegistry, counter, counters
 
 
 def make_tree():
@@ -349,6 +353,189 @@ class TestBackpressure:
         client.close()
         server.close()
         assert not failures, failures
+
+
+class Counted:
+    """A client channel that counts its transport writes."""
+
+    def __init__(self, channel) -> None:
+        self._channel = channel
+        self.writes = 0
+
+    def send(self, data: bytes) -> None:
+        self.writes += 1
+        self._channel.send(data)
+
+    def recv(self, n: int = 1 << 16) -> bytes:
+        return self._channel.recv(n)
+
+    def close(self) -> None:
+        self._channel.close()
+
+
+def counted_client(server: WireServer, **kwargs) -> tuple[Counted, MuxClient]:
+    client_end, server_end = channel_pair()
+    server.serve(server_end)
+    channel = Counted(client_end)
+    return channel, MuxClient(channel, **kwargs)
+
+
+class TestChains:
+    """A file access is one chain in one transport write; its first
+    failure in chain order is the one raised, and the server books
+    nothing behind it."""
+
+    def test_each_file_access_is_one_write(self):
+        vfs = make_tree()
+        with WireServer(vfs.root, clock=vfs.clock) as server:
+            channel, client = counted_client(server)
+            with client:
+                node = mount_remote(client).lookup("notes.txt")
+                writes = channel.writes
+                assert node.data == "top note\n"
+                assert channel.writes == writes + 1
+                node.data = "rewritten\n"
+                assert channel.writes == writes + 2
+                session = node.open("r")
+                assert channel.writes == writes + 3
+                assert session.read() == "rewritten\n"
+                session.close()
+        assert vfs.read("/notes.txt") == "rewritten\n"
+
+    def test_a_chain_wider_than_the_window_splits(self):
+        """Two frames in flight at most: four go out in two writes, and
+        a server with the same bound never answers busy."""
+        vfs = make_tree()
+        metrics = MetricsRegistry("server")
+        with WireServer(vfs.root, max_outstanding=2,
+                        metrics=metrics) as server:
+            channel, client = counted_client(server, max_outstanding=2)
+            with client:
+                node = mount_remote(client).lookup("notes.txt")
+                writes = channel.writes
+                assert node.data == "top note\n"
+                assert channel.writes == writes + 2
+        assert metrics.counters("fs.error.") == {}
+
+    def test_chains_from_many_threads_share_a_narrow_window(self):
+        """Sixteen readers, four permits: a chain takes all its permits
+        at once, so no two chains each hold part of the window."""
+        vfs = VFS()
+        for i in range(16):
+            vfs.write(f"/f{i}.txt", f"payload {i}\n")
+        failures: list[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WireServer(vfs.root) as server:
+                _, client = counted_client(server, max_outstanding=4)
+
+                def reader(idx: int) -> None:
+                    try:
+                        node = mount_remote(client).lookup(f"f{idx}.txt")
+                        for _ in range(20):
+                            assert node.data == f"payload {idx}\n"
+                    except BaseException as exc:  # noqa: BLE001
+                        failures.append(exc)
+
+                threads = [threading.Thread(target=reader, args=(i,),
+                                            daemon=True)
+                           for i in range(16)]
+                for t in threads:
+                    t.start()
+                deadline = time.monotonic() + 30
+                for t in threads:
+                    t.join(timeout=max(0.0, deadline - time.monotonic()))
+                stuck = [t for t in threads if t.is_alive()]
+                client.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not stuck
+        assert not failures, failures
+
+    def test_an_open_fault_books_only_itself(self):
+        """The read queued behind a failed open answers with the open's
+        own error, so the server books no second, "not open" error."""
+        vfs = make_tree()
+        metrics = MetricsRegistry("server")
+        plan = FaultPlan(Fault(op="open", path="/notes.txt", at=1))
+        with WireServer(vfs.root, plan=plan, metrics=metrics) as server:
+            _, client = counted_client(server)
+            with client:
+                node = mount_remote(client).lookup("notes.txt")
+                with pytest.raises(IOFault) as info:
+                    node.data
+                assert info.value.op == "open"
+                assert node.data == "top note\n"
+        assert metrics.counters("fs.error.") == {"fs.error.iofault": 1}
+
+    def test_the_first_failure_in_chain_order_is_raised(self):
+        """A read fault and a close fault in one chain: the read's error
+        is raised, and the client rehydrates (and books) only that."""
+        vfs = make_tree()
+        plan = FaultPlan(Fault(op="read", path="/notes.txt", at=1),
+                         Fault(op="close", path="/notes.txt", at=1))
+        with WireServer(vfs.root, plan=plan,
+                        metrics=MetricsRegistry("server")) as server:
+            _, client = counted_client(server)
+            with client:
+                node = mount_remote(client).lookup("notes.txt")
+                before = counter("fs.error.iofault")
+                with pytest.raises(IOFault) as info:
+                    node.data
+                assert info.value.op == "read"
+                assert counter("fs.error.iofault") == before + 1
+                assert plan.injected == 2
+
+    def test_a_vanished_file_raises_the_walks_notfound(self):
+        """Removed between lookup and access: the walk misses, and the
+        ops queued on its fid answer with that miss, booking nothing."""
+        vfs = make_tree()
+        metrics = MetricsRegistry("server")
+        with WireServer(vfs.root, metrics=metrics) as server:
+            _, client = counted_client(server)
+            with client:
+                node = mount_remote(client).lookup("notes.txt")
+                vfs.remove("/notes.txt")
+                with pytest.raises(NotFound) as info:
+                    node.data
+                assert info.value.op == "walk"
+                with pytest.raises(NotFound):
+                    node.data = "lost\n"
+                with pytest.raises(NotFound):
+                    node.open("r")
+                assert mount_remote(client).lookup("docs") is not None
+        assert metrics.counters("fs.error.") == {}
+
+    def test_a_walk_through_a_file_books_only_its_own_error(self):
+        """A walk that fails, not just misses, answers the ops queued
+        on its newfid with its own error: one NotADirectory, no
+        "unknown fid" behind it."""
+        vfs = make_tree()
+        metrics = MetricsRegistry("server")
+        with WireServer(vfs.root, metrics=metrics) as server:
+            _, client = counted_client(server)
+            with client:
+                inner = RemoteFile(client, "/notes.txt/inner")
+                with pytest.raises(NotADirectory):
+                    inner.data
+                with pytest.raises(NotADirectory):
+                    inner.open("r")
+                assert mount_remote(client).lookup("notes.txt").data == (
+                    "top note\n")
+        assert metrics.counters("fs.error.") == {"fs.error.notadir": 2}
+
+    def test_a_missed_fid_number_walks_again(self, pipe_world):
+        """A sequential probe frees its fid on a miss without a clunk;
+        the server lets the next walk take that number."""
+        _, _, client = pipe_world
+        fid = client.alloc_fid()
+        client.free_fid(fid)
+        assert client.probe("/absent") is None
+        assert client.walk_fid("/notes.txt") == fid
+        client.rpc(wire.Topen(fid=fid, mode="r"))
+        assert client.rpc(wire.Tread(fid=fid)).data == "top note\n"
+        client.clunk(fid)
 
 
 class TestTransportFaults:

@@ -15,11 +15,13 @@ import time
 import pytest
 
 from repro.fs import wire
-from repro.fs.mux import (FrameReader, SocketChannel, WireServer,
-                          channel_pair, dial)
+from repro.fs.mux import (FrameReader, MuxClient, SocketChannel,
+                          WireServer, channel_pair, dial, mount_remote)
 from repro.fs.server import SynthDir, SynthFile
 from repro.fs.vfs import VFS
 from repro.metrics.counter import MetricsRegistry
+from repro.serve import ShardRouter
+from tests.fs.test_mux import Counted
 
 
 def make_tree():
@@ -205,3 +207,48 @@ class TestSlowReaderBackpressure:
         finally:
             channel.close()
             server.close()
+
+
+def _nodelay(sock: socket.socket) -> int:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestChainsOverTcp:
+    @pytest.mark.parametrize("listener", ["wire", "router"])
+    def test_both_ends_turn_off_nagle(self, listener):
+        """A chain's replies can leave the server in several small
+        writes; with Nagle on, one waits for the delayed ACK of the
+        last, so both the dialed and the accepted socket disable it."""
+        if listener == "wire":
+            target = WireServer(make_tree().root)
+            servers = [target]
+        else:
+            target = ShardRouter(shards=2)
+            servers = [host.server for host in target.hosts]
+        try:
+            channel = dial(*target.listen())
+            with MuxClient(channel) as client:
+                assert client.root_stat is not None  # attached
+                mine = channel._sock.getsockname()
+                accepted = [conn.channel._sock for server in servers
+                            for conn in server._conns
+                            if conn.channel._sock.family == socket.AF_INET
+                            and conn.channel._sock.getpeername() == mine]
+                assert len(accepted) == 1
+                assert _nodelay(channel._sock) == 1
+                assert _nodelay(accepted[0]) == 1
+        finally:
+            target.close()
+
+    def test_a_read_is_one_client_write(self):
+        """Over TCP the whole walk/open/read/clunk chain leaves in one
+        client write and is served in order."""
+        vfs = make_tree()
+        with WireServer(vfs.root, clock=vfs.clock) as server:
+            channel = Counted(dial(*server.listen()))
+            with MuxClient(channel) as client:
+                node = mount_remote(client).lookup("notes.txt")
+                writes = channel.writes
+                for _ in range(5):
+                    assert node.data == "top note\n"
+                assert channel.writes == writes + 5

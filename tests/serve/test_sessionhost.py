@@ -445,3 +445,23 @@ def test_drain_folds_every_ledger_into_one():
     assert total.counter("host.sessions.opened") == 2
     assert total.counter("host.sessions.closed") == 2
     assert total.histogram("session.apply_us")["count"] == 2
+
+
+def test_a_chained_ledger_read_counts_only_served_ops():
+    """``wire.rpc.<op>`` is booked where an op is served: a ``metrics``
+    read sees its own walk, open and read, never the clunk that went
+    out behind it in the same write, however far the reactor decoded."""
+    host = SessionHost(width=100, height=40)
+    try:
+        with MuxClient(host.pipe(), aname="ledger") as client:
+            files = mount_remote(client)
+            files.lookup("screen").data
+            text = files.lookup("metrics").data
+    finally:
+        host.close()
+    ledger = {name: int(value) for name, _, value in
+              (line.rpartition(" ") for line in text.splitlines())}
+    assert {name: value for name, value in ledger.items()
+            if name.startswith("wire.rpc.")} == {
+        "wire.rpc.walk": 4, "wire.rpc.open": 2, "wire.rpc.read": 2,
+        "wire.rpc.clunk": 3}

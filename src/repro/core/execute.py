@@ -104,7 +104,7 @@ class Executor:
                 return
             self._run_external(ctx)
         except FsError as exc:
-            self.help.post_error(f"help: {exc.diagnostic()}\n")
+            self.help.report_error(exc)
 
     # -- external commands ---------------------------------------------------
 

@@ -40,6 +40,7 @@ from repro.core.execute import ExecContext, Executor, Runner
 from repro.core.screen import Region, Screen
 from repro.core.selection import expand_execution
 from repro.core.window import Subwindow, Window
+from repro.fs.errors import FsError
 from repro.fs.namespace import Namespace
 from repro.metrics.counter import InteractionStats
 
@@ -244,6 +245,12 @@ class Help:
         window = self.errors_window()
         window.append(text)
         self.make_visible(window)
+
+    def report_error(self, exc: FsError) -> None:
+        """Post a filesystem failure to the Errors window, help's report
+        of it, and so count it there: ``fs.error.<kind>``, once."""
+        self.metrics.incr(f"fs.error.{exc.kind}")
+        self.post_error(f"help: {exc.diagnostic()}\n")
 
     # -- selection ------------------------------------------------------------
 

@@ -13,7 +13,12 @@ carrying
   ``'write'``, ``'close'``, ``'walk'``, ``'remove'``, ...),
 - ``kind`` — a short machine-readable tag (``'notfound'``,
   ``'closed'``, ...) that also names the ``fs.error.<kind>``
-  performance counter bumped when the error is created.
+  performance counter.
+
+An error is a plain value: making one books nothing.  It is counted
+where it is *reported* — the wire server's error reply, help's Errors
+window, a shell diagnostic — so a caller that catches one on purpose
+leaves no trace in any ledger.
 
 ``str(exc)`` stays the terse Plan 9-style user message ("'/x' does
 not exist") that the Errors window shows; :meth:`FsError.diagnostic`
@@ -24,8 +29,6 @@ renders the structured one-line form the shell prints::
 
 from __future__ import annotations
 
-from repro.metrics.counter import incr
-
 
 class FsError(Exception):
     """Base class for all filesystem failures.
@@ -33,7 +36,7 @@ class FsError(Exception):
     May be raised bare (``FsError("message")``) by code outside the
     fs packages; inside :mod:`repro.fs` and :mod:`repro.helpfs` only
     the taxonomy subclasses are raised, so callers can dispatch on
-    type and counters can attribute failures by kind.
+    type and report sites can count failures by kind.
     """
 
     kind = "io"
@@ -55,7 +58,6 @@ class FsError(Exception):
             if reason.startswith(quoted):
                 reason = reason[len(quoted):].lstrip(":").strip()
         self.reason = reason or message
-        incr(f"fs.error.{self.kind}")
 
     def diagnostic(self) -> str:
         """The structured one-line form: ``op 'path': reason [kind]``."""

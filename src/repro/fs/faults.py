@@ -17,9 +17,9 @@ Everything stays deterministic: rules fire by op-count, never by time
 or randomness, so a failing schedule is a regression test.  Injected
 errors are ordinary taxonomy errors (:mod:`repro.fs.errors`) carrying
 the faulted path and op, and every trigger bumps the
-``fs.fault.injected`` counter alongside the ``fs.error.<kind>``
-counter the error itself records — tests assert the counters match
-the schedule.
+``fs.fault.injected`` counter; the ``fs.error.<kind>`` counter moves
+where the error is reported (a wire reply, the Errors window, a shell
+diagnostic) — tests assert the counters match the schedule.
 
 Short reads (``short=N``) truncate the data instead of raising: the
 reader sees the first *N* characters and must cope with a partial

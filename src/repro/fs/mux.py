@@ -30,10 +30,12 @@ connection exceeding ``max_outstanding`` in-flight requests gets
 ``busy`` error replies until it drains.
 
 Instrumentation (:mod:`repro.metrics`): the server counts every RPC
-(``wire.rpc.<op>``) and byte (``wire.bytes.in`` / ``wire.bytes.out``),
-tracks the in-flight gauge (``mux.inflight``), and records per-op
-service-time histograms (``wire.rpc.<op>``, microseconds); the client
-records round-trip histograms (``mux.rpc.<op>``).
+(``wire.rpc.<op>``) and byte (``wire.bytes.in`` / ``wire.bytes.out``)
+and every error it answers (``fs.error.<kind>``), tracks the
+in-flight gauge (``mux.inflight``), and records per-op service-time
+histograms (``wire.rpc.<op>``, microseconds); the client records
+round-trip histograms (``mux.rpc.<op>``) and books nothing for an
+error reply.
 """
 
 from __future__ import annotations
@@ -58,12 +60,7 @@ from repro.fs.errors import (
     NotFound,
 )
 from repro.fs.vfs import Clock, Dir, File, FileHandle, Node, basename, join, split_path
-from repro.metrics.counter import (
-    MetricsRegistry,
-    incr,
-    observe,
-    use_registry,
-)
+from repro.metrics.counter import incr, observe, use_registry
 
 _RECV_SIZE = 1 << 16
 
@@ -224,13 +221,7 @@ class _Reactor:
     :meth:`submit`; a socketpair waker interrupts ``select``.
     """
 
-    def __init__(self, name: str = "wire-reactor",
-                 registry=None) -> None:
-        # the loop's fallback metrics context: errors constructed on
-        # the reactor thread outside any per-RPC binding (flushing
-        # writes to a peer that hung up, teardown of a torn channel)
-        # book against the owning server, not the process default
-        self._registry = registry
+    def __init__(self, name: str = "wire-reactor") -> None:
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
@@ -323,13 +314,6 @@ class _Reactor:
     # -- the loop ---------------------------------------------------------
 
     def _run(self) -> None:
-        if self._registry is not None:
-            with use_registry(self._registry):
-                self._run_loop()
-        else:
-            self._run_loop()
-
-    def _run_loop(self) -> None:
         try:
             running = True
             while running:
@@ -445,7 +429,7 @@ class _Connection:
         # arrival order through a single drainer task per connection,
         # so a pipelined burst (walk, open, read, clunk on one fid) is
         # served in the order it was sent.  No parallelism is lost:
-        # non-attach ops on a connection already serialize on the
+        # non-attach ops on a connection already take turns on the
         # session's oplock (or the server-wide one for bare trees), so
         # the pool's concurrency lives *across* connections either way.
         self._svc_lock = threading.Lock()
@@ -562,10 +546,9 @@ class _Connection:
             # backpressure: the client has too many requests in
             # flight; refuse this one instead of queueing unbounded
             incr(f"wire.rpc.{msg.op}")
-            err = wire.Rerror.from_exc(
-                msg.tag, Busy("server busy: too many outstanding "
-                              "requests", path="<wire>", op=msg.op))
-            self._reply(err)
+            self._reply(self._error(msg.tag, Busy(
+                "server busy: too many outstanding requests",
+                path="<wire>", op=msg.op)))
             return False
         incr("mux.inflight")
         executor = self.server._executor
@@ -627,7 +610,7 @@ class _Connection:
         try:
             reply = self._handle(msg)
         except FsError as exc:
-            reply = wire.Rerror.from_exc(msg.tag, exc)
+            reply = self._error(msg.tag, exc)
         except Exception as exc:  # a server bug must not kill the loop
             reply = wire.Rerror.from_exc(msg.tag, exc)
         finally:
@@ -639,6 +622,13 @@ class _Connection:
         self._reply(reply)
 
     # -- reply path -------------------------------------------------------
+
+    def _error(self, tag: int, exc: FsError) -> wire.Rerror:
+        """Answer *exc*.  The reply is the server's report of the error,
+        so it is counted here, as ``fs.error.<kind>`` on the registry
+        :meth:`_bind` holds: the hosted session's, else the server's."""
+        incr(f"fs.error.{exc.kind}")
+        return wire.Rerror.from_exc(tag, exc)
 
     def _reply(self, reply: wire.Message) -> None:
         frame = wire.encode(reply)
@@ -731,7 +721,7 @@ class _Connection:
     # -- op handlers --------------------------------------------------------
 
     def _handle(self, msg: wire.Message) -> wire.Message:
-        # a hosted session serializes on its own lock, so one slow
+        # a hosted session takes turns on its own lock, so one slow
         # session never stalls its neighbours; bare trees use the
         # server-wide lock as before
         lock = self.server._oplock
@@ -741,7 +731,7 @@ class _Connection:
             return self._attach(msg)
         if isinstance(msg, wire.Tship):
             # replica feed frames never belong to a hosted session and
-            # serialize per-connection through the service queue; the
+            # run in order through the connection's service queue; the
             # handler locks its own state, so no oplock is taken here
             handler = self.server.ship_handler
             if handler is None:
@@ -762,18 +752,15 @@ class _Connection:
 
     def _unlinked_op(self, msg, state: _FidState) -> wire.Message:
         """Answer an op queued on the newfid of a walk that missed or
-        failed: with the walk's own error, or for a miss an Rerror built
-        without constructing one, so nothing is booked behind it.  A
+        failed: with the walk's own error, or for a miss its NotFound.
+        The walk was answered already, so nothing more is booked.  A
         clunk forgets the fid.
         """
         if isinstance(msg, wire.Tclunk):
             with self._lock:
                 self.fids.pop(msg.fid, None)
-        if state.failed is not None:
-            raise state.failed
-        return wire.Rerror(tag=msg.tag, kind=NotFound.kind, errop="walk",
-                           path=state.path,
-                           message=NotFound.fmt.format(path=state.path))
+        failed = state.failed or NotFound(path=state.path, op="walk")
+        return wire.Rerror.from_exc(msg.tag, failed)
 
     def _fid(self, fid: int, op: str) -> _FidState:
         with self._lock:
@@ -810,9 +797,9 @@ class _Connection:
             child = node.lookup(name)
             path = join(path, name)
             if child is None:
-                # a clean miss is an answer, not an error — local
-                # resolve() returns None without raising, and a remote
-                # lookup must not poison fs.error.* counters either
+                # a clean miss is an answer, not an error, as local
+                # resolve() returns None without raising: nothing is
+                # booked for it
                 self._unlinked(msg, path)
                 return wire.Rwalk(tag=msg.tag, found=False)
             node = child
@@ -850,22 +837,26 @@ class _Connection:
         state.session = session
         return wire.Ropen(tag=msg.tag)
 
-    def _session(self, msg, op: str):
+    def _session(self, msg, op: str) -> _FidState:
+        """The fid *msg* reads or writes; one whose open failed comes
+        back unopened, for its op to answer with the open's error."""
         state = self._fid(msg.fid, op)
-        if state.session is None:
-            if state.failed is not None:
-                raise state.failed  # the open's own error, booked once
+        if state.session is None and state.failed is None:
             raise Invalid(f"fid {msg.fid} not open", path=state.path, op=op)
         return state
 
     def _read(self, msg: wire.Tread) -> wire.Message:
         state = self._session(msg, "read")
+        if state.session is None:
+            return wire.Rerror.from_exc(msg.tag, state.failed)
         if msg.offset != wire.SEQUENTIAL:
             state.session.seek(msg.offset)
         return wire.Rread(tag=msg.tag, data=state.session.read(msg.count))
 
     def _write(self, msg: wire.Twrite) -> wire.Message:
         state = self._session(msg, "write")
+        if state.session is None:
+            return wire.Rerror.from_exc(msg.tag, state.failed)
         return wire.Rwrite(tag=msg.tag, count=state.session.write(msg.data))
 
     def _clunk(self, msg: wire.Tclunk) -> wire.Message:
@@ -897,6 +888,8 @@ class _Connection:
         self._torn = True
         with self._wlock:
             self.closed = True
+        with self.server._lock:
+            self.server._conns.discard(self)
         if self._events:
             try:
                 self.reactor.unregister(self.channel)
@@ -946,12 +939,11 @@ class WireServer:
     on the reactor — the fastest path, for trees whose handlers never
     block.
 
-    ``serialize=True`` (the default) runs node operations one at a
-    time under a server-wide lock: the trees we serve (``help``'s
-    window files in particular) are not thread-safe, and the wire
-    layer's concurrency — many connections, many outstanding tags —
-    still stands.  Turn it off to bench raw transport parallelism over
-    trees that tolerate it.
+    Node operations on a bare tree run one at a time under a
+    server-wide lock (a hosted session takes its own): the trees we
+    serve (``help``'s window files in particular) are not thread-safe,
+    and the wire layer's concurrency — many connections, many
+    outstanding tags — still stands.
 
     A :class:`~repro.fs.faults.FaultPlan` can be installed at the
     transport boundary (``plan=``): every fid's opens, reads, writes
@@ -960,8 +952,7 @@ class WireServer:
     """
 
     def __init__(self, root: Node | None = None, *, max_outstanding: int = 64,
-                 workers: int = 4, serialize: bool = True,
-                 plan=None, base: str = "/",
+                 workers: int = 4, plan=None, base: str = "/",
                  clock: Clock | None = None,
                  metrics=None, session_factory=None) -> None:
         if root is None and session_factory is None:
@@ -977,7 +968,7 @@ class WireServer:
         # session_factory: called with (uname, aname) at attach to
         # build a per-connection hosted session — an object with a
         # ``root`` node, and optionally ``metrics`` (its private
-        # ledger), ``oplock`` (its serializer) and ``close()``.
+        # ledger), ``oplock`` (its op lock) and ``close()``.
         self.metrics = metrics
         self.session_factory = session_factory
         # ship_handler: called with each wire.Tship a replica feed
@@ -987,12 +978,13 @@ class WireServer:
         # Installed by a ReplicaStandby (repro.serve.replica); None
         # refuses ship frames with Invalid.
         self.ship_handler = None
-        self._oplock = threading.Lock() if serialize else _NullLock()
+        self._oplock = threading.Lock()
         self._executor = (ThreadPoolExecutor(max_workers=workers)
                           if workers else None)
-        self._reactor = _Reactor(registry=metrics)
+        self._reactor = _Reactor()
         self._lock = threading.Lock()
-        self._conns: list[_Connection] = []
+        # live connections; each leaves at its teardown
+        self._conns: set[_Connection] = set()
         self._sockets: list[socket.socket] = []
         self._closed = False
 
@@ -1007,7 +999,7 @@ class WireServer:
         with self._lock:
             if self._closed:
                 raise Closed("server closed", path="<wire>", op="attach")
-            self._conns.append(conn)
+            self._conns.add(conn)
         self._reactor.submit(conn._start)
         return _ConnHandle(conn)
 
@@ -1030,13 +1022,17 @@ class WireServer:
             channel.close()
 
     def close(self) -> None:
-        """Stop listening, drop every connection, release the workers."""
+        """Stop listening, drop every connection, release the workers.
+
+        Returns once the handlers already running have finished, so no
+        RPC outlives the server and its ledger is settled.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             sockets, self._sockets = self._sockets, []
-            conns, self._conns = self._conns, []
+            conns, self._conns = self._conns, set()
 
         def shutdown() -> None:
             for sock in sockets:
@@ -1049,7 +1045,7 @@ class WireServer:
             conn._done.wait(timeout=5)
         self._reactor.stop()
         if self._executor is not None:
-            self._executor.shutdown(wait=False)
+            self._executor.shutdown()
 
     def kill(self) -> None:
         """Crash the server: stop everything with NO orderly teardown.
@@ -1065,7 +1061,7 @@ class WireServer:
                 return
             self._closed = True
             sockets, self._sockets = self._sockets, []
-            conns, self._conns = self._conns, []
+            conns, self._conns = self._conns, set()
         self._reactor.stop()
         for sock in sockets:
             try:
@@ -1089,14 +1085,6 @@ class WireServer:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-class _NullLock:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> None:
-        return None
 
 
 # -- client ------------------------------------------------------------------
@@ -1140,15 +1128,8 @@ class MuxClient:
         self._free_fids: list[int] = []
         self._timeout = timeout
         self._closed = False
-        # the receiver thread starts with an empty metrics context, so
-        # errors it constructs (a torn channel raising Closed/IOFault
-        # mid-frame) would land in the process default registry and
-        # poison a ledger the connection never belonged to.  They are
-        # also redundant: the caller whose rpc() the tear failed gets
-        # its own error on its own thread.  Book the noise privately.
-        self._registry = MetricsRegistry(f"mux-recv:{id(self):x}")
         self._recv_thread = threading.Thread(target=self._recv_loop,
-                                             daemon=True, name="mux-recv")
+                                             daemon=True, name="mux-reply")
         self._recv_thread.start()
         # attach=False leaves the connection bare — for traffic that
         # must not create a hosted session on the far side (a replica
@@ -1163,16 +1144,13 @@ class MuxClient:
 
     def _recv_loop(self) -> None:
         try:
-            with use_registry(self._registry):
-                while True:
-                    msg = self._reader.next_frame()
-                    if msg is None:
-                        break
-                    with self._lock:
-                        slot = self._pending.pop(msg.tag, None)
-                    if slot is None:
-                        incr("mux.orphan_reply")  # timed out or bogus tag
-                        continue
+            while True:
+                msg = self._reader.next_frame()
+                if msg is None:
+                    break
+                with self._lock:
+                    slot = self._pending.pop(msg.tag, None)
+                if slot is not None:  # else timed out, or a bogus tag
                     slot.reply = msg
                     slot.event.set()
         except (Invalid, IOFault, Closed):
@@ -1413,8 +1391,7 @@ class RemoteFile(File):
     Each access is one chain in one write: walk a fresh fid and open
     it, and for ``data`` also read or write it and clunk.  A screen
     poll is one round trip.  The first failure in chain order is the
-    one raised; the replies behind it are dropped unread, so the
-    client books only that one error.
+    one raised; the replies behind it are dropped unread.
     """
 
     def __init__(self, client: MuxClient, path: str, mtime: int = 0) -> None:

@@ -25,7 +25,7 @@ from typing import Callable
 
 from repro.fs.errors import Closed, Invalid, Permission
 from repro.fs.vfs import Dir, File, Node
-from repro.metrics.counter import current_registry, incr, use_registry
+from repro.metrics.counter import current_registry, incr
 
 
 class SynthSession:
@@ -60,7 +60,7 @@ class SynthSession:
         # interrupts; book it against the ledger that booked the open,
         # or sessions dropped in one context bleed closes into another.
         self._registry = current_registry()
-        incr("fs.open")
+        self._registry.incr("fs.open")
 
     def _check(self, want: str) -> None:
         op = "read" if want == "r" else "write"
@@ -127,8 +127,7 @@ class SynthSession:
         if self.closed:
             return
         self.closed = True
-        with use_registry(self._registry):
-            incr("fs.close")
+        self._registry.incr("fs.close")
         pending, self._pending = self._pending, ""
         if pending and self._write_fn is not None:
             self._write_fn(pending)

@@ -479,9 +479,8 @@ class Rerror(Message):
     def to_exc(self) -> FsError:
         """Rehydrate the taxonomy error this reply carries.
 
-        The constructor of the rebuilt error bumps ``fs.error.<kind>``
-        on the *client* side too — a remote failure is still a failure
-        the client observed.
+        Books nothing: the server counted the error when it answered
+        it, and the client counts it only where it reports it.
         """
         cls = _KIND_TO_ERROR.get(self.kind, FsError)
         return cls(self.message or None, path=self.path or None,

@@ -161,7 +161,7 @@ class HelpFS:
         except FsError as exc:
             # A ctl message that touched the filesystem and failed:
             # the writer has no other channel to the user.
-            self.help.post_error(f"help: {exc.diagnostic()}\n")
+            self.help.report_error(exc)
 
     # -- window creation ------------------------------------------------------
 

@@ -386,11 +386,7 @@ class SessionHost:
         if feed is None:
             return
         try:
-            # connection-teardown threads have no metrics context; a
-            # stopped feed's Closed must book to the feed, not the
-            # process default registry
-            with feed.metrics.activate():
-                feed.ship(session_id, verb, 0, data, meta=meta)
+            feed.ship(session_id, verb, 0, data, meta=meta)
         except FsError:
             pass
 

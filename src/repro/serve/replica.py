@@ -74,13 +74,9 @@ class ReplicaFeed:
                  metrics: MetricsRegistry | None = None) -> None:
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry("replica")
-        # the feed's wire client books its lifecycle noise (a torn
-        # channel when the primary dies, the close on stop) against
-        # the feed's own registry, not whatever context made the feed
-        with self.metrics.activate():
-            self._client = MuxClient(channel, attach=False)
-            # a feed that has shipped nothing must still hang up as one
-            self._client.rpc(wire.Tship(verb="hello"))
+        self._client = MuxClient(channel, attach=False)
+        # a feed that has shipped nothing must still hang up as one
+        self._client.rpc(wire.Tship(verb="hello"))
         self._lock = threading.Lock()
         self._shipped_records = 0
         self._acked_records = 0
@@ -228,16 +224,12 @@ class ReplicaStandby:
     # -- the ship handler (wire workers; a hang-up on the reactor) -------
 
     def _on_ship(self, msg: wire.Tship | None) -> int:
-        # wire worker threads carry no metrics context of their own;
-        # errors raised here (crc mismatch, unknown verb) must book
-        # against the standby, not the process default registry
-        with self.metrics.activate():
-            if msg is not None:
-                return self._apply_ship(msg)
-            self.metrics.incr("replica.feed.lost")
-            if self.on_lost is not None:
-                self.on_lost()
-            return 0
+        if msg is not None:
+            return self._apply_ship(msg)
+        self.metrics.incr("replica.feed.lost")
+        if self.on_lost is not None:
+            self.on_lost()
+        return 0
 
     def _apply_ship(self, msg: wire.Tship) -> int:
         now = time.monotonic()

@@ -106,9 +106,8 @@ class ShardRouter:
                 pair = ReplicaPair(host, standby_prefix=f"sh{i}r.")
                 pair.standby.on_lost = lambda i=i: self._fail_over(i)
                 self.pairs[i] = pair
-        # the router loop: its listeners and every unattached connection;
-        # errors raised while routing book against the router's ledger
-        self._reactor = _Reactor(name="shard-router", registry=self.metrics)
+        # the router loop: its listeners and every unattached connection
+        self._reactor = _Reactor(name="shard-router")
 
     # -- placement --------------------------------------------------------
 

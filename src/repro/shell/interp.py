@@ -20,9 +20,19 @@ from typing import Callable
 from repro.fs.errors import diagnostic as fs_diagnostic
 from repro.fs.namespace import Namespace
 from repro.fs.vfs import FsError, join
+from repro.metrics.counter import incr
 from repro.shell import ast
 from repro.shell.lexer import Backquote, Fragment, Lit, VarRef
 from repro.shell.parser import ParseError, parse
+
+
+def diagnostic(exc: BaseException) -> str:
+    """The line the shell prints for *exc*.  That line is the shell's
+    report of a taxonomy error, so the error is counted here, once, as
+    ``fs.error.<kind>``."""
+    if isinstance(exc, FsError):
+        incr(f"fs.error.{exc.kind}")
+    return fs_diagnostic(exc)
 
 
 class ShellError(Exception):
@@ -105,7 +115,7 @@ class Interp:
             status = exc.status
         except FsError as exc:
             # Structured one-liner: op, canonical path, reason, kind.
-            io.stderr.append(f"rc: {fs_diagnostic(exc)}\n")
+            io.stderr.append(f"rc: {diagnostic(exc)}\n")
             status = 1
         except ShellError as exc:
             io.stderr.append(f"rc: {exc}\n")

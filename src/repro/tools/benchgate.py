@@ -17,7 +17,7 @@ Checks applied:
 - ``fs.open == fs.close`` — a mismatch means a leaked (or
   double-closed) file-server session somewhere in the run;
 - every ``fs.error.*`` counter is zero — benchmarks drive the clean
-  path only, so any taxonomy error is a regression;
+  path only, so any reported taxonomy error is a regression;
 - ``fs.fault.injected`` is zero — fault plans belong to the fault
   matrix tests, never to benchmarks;
 - the wire transport really ran: at least ``MIN_SESSIONS`` sessions

@@ -310,8 +310,8 @@ class LoadGen:
         self.max_live = max_live if max_live is not None \
             else self.workers * 4 + 4
         self.metrics = MetricsRegistry("loadgen")
-        # client-side traffic runs under this registry so rehydrated
-        # taxonomy errors (fs.error.* bumps in MuxClient) never leak
+        # client-side traffic runs under this registry so the
+        # client's own counters and round-trip histograms never mix
         # into the process-default ledger a bench is balancing
         self._client_metrics = MetricsRegistry("loadgen.client")
         self._lock = threading.Lock()

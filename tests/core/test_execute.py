@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.execute import CommandResult, parse_helpsel
 from repro.core.window import Subwindow
+from repro.fs.errors import NotFound
+from repro.metrics.counter import counters
 
 
 class TestResolveCommand:
@@ -91,6 +93,33 @@ class TestDispatch:
     def test_command_result_defaults(self):
         result = CommandResult()
         assert (result.status, result.stdout, result.stderr) == (0, "", "")
+
+
+class TestErrorReports:
+    def test_an_errors_window_report_books_once(self, app):
+        """The Errors window is help's report of a filesystem failure,
+        so that is where the error is counted: once, on the session's
+        ledger."""
+        def vanish(ctx):
+            raise NotFound(path="/gone", op="open")
+
+        app.executor.register("Vanish", vanish)
+        w = app.new_window("/tmp/f")
+        app.executor.execute(w, Subwindow.BODY, "Vanish")
+        assert "help: open '/gone': does not exist [notfound]" in (
+            app.window_by_name("Errors").body.string())
+        assert app.metrics.counters("fs.error.") == {"fs.error.notfound": 1}
+
+    def test_a_shell_error_help_posts_is_booked_once(self):
+        """The shell books its diagnostic; help posts the tool's stderr
+        as text and books nothing more."""
+        from repro.tools.install import build_system
+
+        h = build_system().help
+        h.execute_text(h.window_by_name("/help/mail/stf"), "cat /absent")
+        assert "cat: open '/absent': does not exist [notfound]" in (
+            h.window_by_name("Errors").body.string())
+        assert counters("fs.error.") == {"fs.error.notfound": 1}
 
 
 class TestHover:

@@ -17,7 +17,12 @@ from repro.fs.errors import (
     TAXONOMY,
     diagnostic,
 )
-from repro.metrics.counter import counter, reset_counters
+from repro.metrics.counter import (
+    MetricsRegistry,
+    counter,
+    counters,
+    reset_counters,
+)
 
 
 class TestTaxonomy:
@@ -55,12 +60,32 @@ class TestTaxonomy:
         assert "[perm]" in diagnostic(exc)
 
     def test_errors_bump_kind_counters(self):
+        """Making an error books nothing; reporting it (here, as a
+        shell diagnostic) books its kind once."""
+        from repro.shell.interp import diagnostic as report
         reset_counters("fs.error.")
-        NotFound(path="/a", op="open")
-        NotFound(path="/b", op="open")
-        Closed(path="/c", op="read")
+        errors = [NotFound(path="/a", op="open"),
+                  NotFound(path="/b", op="open"),
+                  Closed(path="/c", op="read")]
+        assert counters("fs.error.") == {}
+        for exc in errors:
+            report(exc)
         assert counter("fs.error.notfound") == 2
         assert counter("fs.error.closed") == 1
+
+    def test_making_or_rehydrating_an_error_books_nothing(self):
+        """An error is a plain value: constructing any taxonomy class,
+        or rebuilding one from its wire reply, leaves every ledger as
+        it was, the one bound for the caller included."""
+        from repro.fs.wire import Rerror
+        caller = MetricsRegistry("caller")
+        with caller.activate():
+            for cls in TAXONOMY:
+                exc = cls(path="/x", op="read")
+                rebuilt = Rerror.from_exc(7, exc).to_exc()
+                assert type(rebuilt) is cls
+        assert caller.counters() == {}
+        assert counters() == {}
 
 
 class TestRaiseSitesCarryStructure:

@@ -297,8 +297,7 @@ class TestBackpressure:
 
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("slow", read_fn=slow_read)])
-        server = WireServer(root, max_outstanding=2, workers=2,
-                            serialize=False)
+        server = WireServer(root, max_outstanding=2, workers=2)
         client_end, server_end = channel_pair()
         server.serve(server_end)
         try:
@@ -471,21 +470,23 @@ class TestChains:
 
     def test_the_first_failure_in_chain_order_is_raised(self):
         """A read fault and a close fault in one chain: the read's error
-        is raised, and the client rehydrates (and books) only that."""
+        is raised.  The client rehydrates it and books nothing; the
+        server books one iofault for each error it answered, the read's
+        and the clunk's close fault behind it."""
         vfs = make_tree()
         plan = FaultPlan(Fault(op="read", path="/notes.txt", at=1),
                          Fault(op="close", path="/notes.txt", at=1))
-        with WireServer(vfs.root, plan=plan,
-                        metrics=MetricsRegistry("server")) as server:
+        metrics = MetricsRegistry("server")
+        with WireServer(vfs.root, plan=plan, metrics=metrics) as server:
             _, client = counted_client(server)
             with client:
                 node = mount_remote(client).lookup("notes.txt")
-                before = counter("fs.error.iofault")
                 with pytest.raises(IOFault) as info:
                     node.data
                 assert info.value.op == "read"
-                assert counter("fs.error.iofault") == before + 1
                 assert plan.injected == 2
+        assert counters("fs.error.") == {}
+        assert metrics.counters("fs.error.") == {"fs.error.iofault": 2}
 
     def test_a_vanished_file_raises_the_walks_notfound(self):
         """Removed between lookup and access: the walk misses, and the

@@ -94,8 +94,7 @@ class TestDisconnectMidRpc:
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("slow", read_fn=slow_read)])
         metrics = MetricsRegistry("t")
-        server = WireServer(root, workers=2, serialize=False,
-                            metrics=metrics)
+        server = WireServer(root, workers=2, metrics=metrics)
         client_end, server_end = channel_pair()
         handle = server.serve(server_end)
         try:
@@ -133,6 +132,33 @@ class TestDisconnectMidRpc:
         assert metrics.counters("fs.error.") == {}
 
 
+class TestConnectionLifetime:
+    def test_a_torn_down_connection_leaves_the_server(self):
+        """The server holds only live connections: many attach and
+        hang-up cycles leave none behind, and close() still tears
+        down one that is live."""
+        server = WireServer(make_tree().root)
+        try:
+            for _ in range(20):
+                client_end, server_end = channel_pair()
+                handle = server.serve(server_end)
+                with MuxClient(client_end) as client:
+                    node = mount_remote(client).lookup("notes.txt")
+                    assert node.data == "top note\n"
+                handle.join(timeout=5)
+                assert not handle.is_alive()
+            assert server._conns == set()
+            client_end, server_end = channel_pair()
+            live = server.serve(server_end)
+            client = MuxClient(client_end)
+            assert len(server._conns) == 1
+        finally:
+            server.close()
+        assert not live.is_alive()
+        assert server._conns == set()
+        client.close()
+
+
 class TestSlowReaderBackpressure:
     @pytest.mark.parametrize("transport", ["tcp", "pipe"])
     def test_write_queue_fills_pauses_then_drains(self, transport):
@@ -146,8 +172,7 @@ class TestSlowReaderBackpressure:
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("big", read_fn=lambda: big)])
         metrics = MetricsRegistry("t")
-        server = WireServer(root, metrics=metrics, serialize=False,
-                            max_outstanding=256)
+        server = WireServer(root, metrics=metrics, max_outstanding=256)
         if transport == "tcp":
             channel = dial(*server.listen())
         else:

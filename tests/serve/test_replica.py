@@ -23,6 +23,7 @@ from repro.fs.errors import Busy, FsError, IOFault
 from repro.fs.mux import MuxClient, mount_remote
 from repro.fs.namespace import Namespace
 from repro.fs.vfs import VFS
+from repro.metrics.counter import counters
 from repro.serve import SessionHost, ShardRouter, input_line
 from repro.serve.replica import ReplicaFeed, ReplicaPair, ReplicaStandby
 
@@ -242,6 +243,29 @@ class TestRouterFailover:
             client2.close()
         finally:
             router.close()
+
+    def test_failover_books_nothing_in_the_callers_ledger(self):
+        """The feed and the standby keep their books on the hosts'
+        ledgers: a kill, its promotion and the owner's re-attach leave
+        no fs.error.* or replica.* in the caller's default registry."""
+        router = ShardRouter(shards=2, replicate=True)
+        try:
+            client, ns = _attach(router, "alice")
+            ns.append("/s/input", _newwin("/tmp/note", "body text"))
+            index = next(i for i, h in enumerate(router.hosts)
+                         if "alice" in h.sessions)
+            router.kill_shard(index)
+            client.close()
+            assert _wait(lambda: router.metrics.counter(
+                "router.shards.promoted") == 1)
+            client2, ns2 = _attach(router, "alice")
+            assert "body text" in ns2.read("/s/screen")
+            client2.close()
+            assert router.audit() == []
+        finally:
+            router.close()
+        assert counters("fs.error.") == {}
+        assert counters("replica.") == {}
 
     def test_close_under_live_connections_audits_clean(self):
         """Each live session's drop ships before its feed stops, so

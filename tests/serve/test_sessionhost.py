@@ -21,6 +21,7 @@ from repro.fs.faults import Fault, FaultPlan
 from repro.fs.mux import MuxClient, dial, mount_remote
 from repro.fs.namespace import Namespace
 from repro.fs.vfs import VFS
+from repro.metrics.counter import MetricsRegistry
 from repro.serve import SessionHost, input_line
 
 
@@ -199,6 +200,48 @@ def test_bad_input_kind_is_invalid_and_not_applied():
         assert "session.input.applied" not in _ledger(ns)
     finally:
         host.close()
+
+
+def test_a_handler_error_books_once_on_its_session():
+    """An error a session's handler raises is counted where the wire
+    server answers it: once, on that session's ledger.  The host's
+    ledger and the client's see nothing, and the audit stays clean."""
+    host = SessionHost()
+    caller = MetricsRegistry("caller")
+    try:
+        with caller.activate():
+            _client, ns = _attach(host, "typo")
+            with pytest.raises(Invalid):
+                ns.append("/s/input", "levitate now\n")
+            errors = {name: value for name, value in _ledger(ns).items()
+                      if name.startswith("fs.error.")}
+        assert errors == {"fs.error.invalid": 1}
+        assert host.metrics.counters("fs.error.") == {}
+        assert caller.counters("fs.error.") == {}
+    finally:
+        host.close()
+    assert host.audit() == []
+
+
+def test_a_parked_read_books_nothing_for_its_caller():
+    """The hibernate soak's wake check in miniature: a read on a
+    connection whose session was parked under it fails with Closed,
+    which the caller catches on purpose, so the caller's ledger holds
+    no error."""
+    host = SessionHost(max_live=1)
+    caller = MetricsRegistry("caller")
+    try:
+        with caller.activate():
+            _a, a_ns = _attach(host, "a")
+            a_ns.read("/s/screen")
+            _b, _b_ns = _attach(host, "b")
+            assert "a" in host.hibernated
+            with pytest.raises(Closed):
+                a_ns.read("/s/screen")
+    finally:
+        host.close()
+    assert caller.counters("fs.error.") == {}
+    assert host.audit() == []
 
 
 def test_evict_racing_a_close_counts_once():

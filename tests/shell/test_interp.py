@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fs import VFS, Namespace
+from repro.metrics.counter import counters
 from repro.shell import Interp
 
 
@@ -443,6 +444,20 @@ class TestMoreBuiltins:
     def test_ampersand_runs_synchronously(self, sh):
         # '&' is accepted (scripts use it); execution is synchronous here
         assert run(sh, "echo bg &").stdout == "bg\n"
+
+
+class TestDiagnostics:
+    def test_a_diagnostic_books_its_error_once(self, sh):
+        """A diagnostic is where the shell reports a taxonomy error:
+        each one printed, by a command or by rc itself, books
+        fs.error.<kind> once."""
+        result = run(sh, "cat /absent")
+        assert "cat: open '/absent': does not exist [notfound]" in (
+            result.stderr)
+        assert counters("fs.error.") == {"fs.error.notfound": 1}
+        result = run(sh, "echo x >/absent/x")
+        assert result.stderr.startswith("rc: ")
+        assert counters("fs.error.") == {"fs.error.notfound": 2}
 
 
 class TestStatusVariable:

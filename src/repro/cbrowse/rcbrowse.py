@@ -21,7 +21,7 @@ from repro.fs.vfs import FsError, join
 from repro.shell import ast
 from repro.shell.lexer import Backquote, Lit, VarRef
 from repro.shell.parser import ParseError, parse
-from repro.shell.interp import IO, Interp
+from repro.shell.interp import IO, Interp, reported
 
 
 def _line_of(source: str, pos: int) -> int:
@@ -215,7 +215,7 @@ def cmd_rdecl(interp: Interp, args: list[str], io: IO) -> int:
     try:
         program = parse_rc_program(interp.ns, paths, base_dir=interp.cwd)
     except FsError as exc:
-        io.stderr.append(f"rdecl: {exc}\n")
+        io.stderr.append(f"rdecl: {reported(exc)}\n")
         return 1
     decl = program.declaration_of(name)
     if decl is None:
@@ -241,7 +241,7 @@ def cmd_ruses(interp: Interp, args: list[str], io: IO) -> int:
     try:
         program = parse_rc_program(interp.ns, paths, base_dir=interp.cwd)
     except FsError as exc:
-        io.stderr.append(f"ruses: {exc}\n")
+        io.stderr.append(f"ruses: {reported(exc)}\n")
         return 1
     uses = program.uses_of(name)
     if not uses:

@@ -24,7 +24,7 @@ from repro.cbrowse.lexer import CToken, tokenize
 from repro.cbrowse.parser import parse_program
 from repro.cbrowse.symbols import Program
 from repro.fs.vfs import FsError, dirname, join
-from repro.shell.interp import IO, Interp
+from repro.shell.interp import IO, Interp, reported
 
 _LINE_MARKER = re.compile(r'#line\s+(\d+)\s+"([^"]*)"')
 
@@ -77,7 +77,7 @@ def cmd_cpp(interp: Interp, args: list[str], io: IO) -> int:
             path = interp._abspath(name)
             emit(path, name)
     except FsError as exc:
-        io.stderr.append(f"cpp: {exc}\n")
+        io.stderr.append(f"cpp: {reported(exc)}\n")
         return 1
     return 0
 
@@ -191,7 +191,7 @@ def cmd_cuses(interp: Interp, args: list[str], io: IO) -> int:
     try:
         program = parse_program(interp.ns, paths, base_dir=base)
     except FsError as exc:
-        io.stderr.append(f"cuses: {exc}\n")
+        io.stderr.append(f"cuses: {reported(exc)}\n")
         return 1
     label = None
     if file is not None:
@@ -219,7 +219,7 @@ def cmd_cdecls(interp: Interp, args: list[str], io: IO) -> int:
     try:
         program = parse_program(interp.ns, paths, base_dir=interp.cwd)
     except FsError as exc:
-        io.stderr.append(f"cdecls: {exc}\n")
+        io.stderr.append(f"cdecls: {reported(exc)}\n")
         return 1
     for decl in program.decls:
         if decl.kind in ("func", "var", "typedef", "macro", "tag"):

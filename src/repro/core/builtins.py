@@ -170,7 +170,7 @@ def cmd_put(ctx: "ExecContext") -> None:
     try:
         ctx.help.ns.write(name, window.body.string())
     except Exception as exc:  # FsError carries a user-facing message
-        ctx.help.post_error(f"help: Put!: {exc}\n")
+        ctx.help.report_error(exc, f"help: Put!: {exc}\n")
         return
     window.mark_clean()
 
@@ -190,7 +190,7 @@ def cmd_write(ctx: "ExecContext") -> None:
     try:
         ctx.help.ns.write(name, window.body.string())
     except Exception as exc:
-        ctx.help.post_error(f"help: Write: {exc}\n")
+        ctx.help.report_error(exc, f"help: Write: {exc}\n")
         return
     window.mark_clean()
 
@@ -243,7 +243,7 @@ def cmd_dump(ctx: "ExecContext") -> None:
     try:
         dumpmod.save(ctx.help, path)
     except Exception as exc:
-        ctx.help.post_error(f"help: Dump: {exc}\n")
+        ctx.help.report_error(exc, f"help: Dump: {exc}\n")
 
 
 @builtin("Load")
@@ -254,7 +254,7 @@ def cmd_load(ctx: "ExecContext") -> None:
     try:
         dumpmod.restore(ctx.help, path)
     except Exception as exc:
-        ctx.help.post_error(f"help: Load: {exc}\n")
+        ctx.help.report_error(exc, f"help: Load: {exc}\n")
 
 
 @builtin("Exit")

@@ -40,7 +40,7 @@ from repro.core.execute import ExecContext, Executor, Runner
 from repro.core.screen import Region, Screen
 from repro.core.selection import expand_execution
 from repro.core.window import Subwindow, Window
-from repro.fs.errors import FsError
+from repro.fs.errors import FsError, diagnostic
 from repro.fs.namespace import Namespace
 from repro.metrics.counter import InteractionStats
 
@@ -246,11 +246,13 @@ class Help:
         window.append(text)
         self.make_visible(window)
 
-    def report_error(self, exc: FsError) -> None:
-        """Post a filesystem failure to the Errors window, help's report
-        of it, and so count it there: ``fs.error.<kind>``, once."""
-        self.metrics.incr(f"fs.error.{exc.kind}")
-        self.post_error(f"help: {exc.diagnostic()}\n")
+    def report_error(self, exc: Exception, text: str | None = None) -> None:
+        """Post a failure to the Errors window: *text*, else the error's
+        diagnostic line.  That line is help's report of a taxonomy
+        error, so the error is counted here: ``fs.error.<kind>``, once."""
+        if isinstance(exc, FsError):
+            self.metrics.incr(f"fs.error.{exc.kind}")
+        self.post_error(text or f"help: {diagnostic(exc)}\n")
 
     # -- selection ------------------------------------------------------------
 

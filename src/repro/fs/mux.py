@@ -60,7 +60,7 @@ from repro.fs.errors import (
     NotFound,
 )
 from repro.fs.vfs import Clock, Dir, File, FileHandle, Node, basename, join, split_path
-from repro.metrics.counter import incr, observe, use_registry
+from repro.metrics.counter import current_registry, incr, observe, use_registry
 
 _RECV_SIZE = 1 << 16
 
@@ -442,13 +442,15 @@ class _Connection:
         self._torn = False
         self._done = threading.Event()
 
+    def _registry(self):
+        """The registry work on this connection's behalf reports into:
+        the hosted session's, else the server's (None: the active one)."""
+        registry = getattr(self.session, "metrics", None)
+        return self.server.metrics if registry is None else registry
+
     def _bind(self):
         """The metrics binding for work on this connection's behalf."""
-        registry = None
-        if self.session is not None:
-            registry = getattr(self.session, "metrics", None)
-        if registry is None:
-            registry = self.server.metrics
+        registry = self._registry()
         return nullcontext() if registry is None else use_registry(registry)
 
     # -- reactor-side input path (reactor thread only) --------------------
@@ -609,10 +611,8 @@ class _Connection:
         start = time.perf_counter()
         try:
             reply = self._handle(msg)
-        except FsError as exc:
-            reply = self._error(msg.tag, exc)
         except Exception as exc:  # a server bug must not kill the loop
-            reply = wire.Rerror.from_exc(msg.tag, exc)
+            reply = self._error(msg.tag, exc)
         finally:
             observe(f"wire.rpc.{msg.op}",
                     (time.perf_counter() - start) * 1e6)
@@ -623,12 +623,14 @@ class _Connection:
 
     # -- reply path -------------------------------------------------------
 
-    def _error(self, tag: int, exc: FsError) -> wire.Rerror:
+    def _error(self, tag: int, exc: Exception) -> wire.Rerror:
         """Answer *exc*.  The reply is the server's report of the error,
-        so it is counted here, as ``fs.error.<kind>`` on the registry
-        :meth:`_bind` holds: the hosted session's, else the server's."""
-        incr(f"fs.error.{exc.kind}")
-        return wire.Rerror.from_exc(tag, exc)
+        so it is counted here, as ``fs.error.<kind>`` on
+        :meth:`_registry` (a server bug answers as ``io``)."""
+        reply = wire.Rerror.from_exc(tag, exc)
+        (self._registry() or current_registry()).incr(
+            f"fs.error.{reply.kind}")
+        return reply
 
     def _reply(self, reply: wire.Message) -> None:
         frame = wire.encode(reply)

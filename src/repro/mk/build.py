@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.fs.vfs import join
 from repro.mk.mkfile import Mkfile, Rule, expand, parse_mkfile
-from repro.shell.interp import IO, Interp
+from repro.shell.interp import IO, Interp, reported
 
 
 class BuildError(Exception):
@@ -168,7 +168,7 @@ def cmd_mk(interp: Interp, args: list[str], io: IO) -> int:
         io.stderr.append(f"{exc}\n")
         return 1
     except Exception as exc:  # MkfileError and friends
-        io.stderr.append(f"mk: {exc}\n")
+        io.stderr.append(f"mk: {reported(exc)}\n")
         return 1
     io.stdout.append(result.log())
     io.stdout.append(result.output)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.fs.vfs import basename, dirname, join
 from repro.mk.build import Builder, BuildError, BuildResult
 from repro.mk.mkfile import parse_mkfile
-from repro.shell.interp import IO, Interp
+from repro.shell.interp import IO, Interp, reported
 
 
 def dependency_closure(builder: Builder, target: str,
@@ -142,7 +142,7 @@ def cmd_imk(interp: Interp, args: list[str], io: IO) -> int:
         io.stderr.append(f"{exc}\n")
         return 1
     except Exception as exc:
-        io.stderr.append(f"imk: {exc}\n")
+        io.stderr.append(f"imk: {reported(exc)}\n")
         return 1
     io.stdout.append(result.log())
     io.stdout.append(result.output)

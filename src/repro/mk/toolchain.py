@@ -15,7 +15,7 @@ which is how failure-injection tests exercise mk's error path.
 from __future__ import annotations
 
 from repro.fs.vfs import FsError, basename, join
-from repro.shell.interp import IO, Interp
+from repro.shell.interp import IO, Interp, reported
 
 
 def cmd_vc(interp: Interp, args: list[str], io: IO) -> int:
@@ -42,7 +42,7 @@ def cmd_vc(interp: Interp, args: list[str], io: IO) -> int:
     try:
         text = interp.ns.read(path)
     except FsError as exc:
-        io.stderr.append(f"vc: {exc}\n")
+        io.stderr.append(f"vc: {reported(exc)}\n")
         return 1
     if "SYNTAX_ERROR" in text:
         line = next(i for i, l in enumerate(text.splitlines(), 1)
@@ -89,7 +89,7 @@ def cmd_vl(interp: Interp, args: list[str], io: IO) -> int:
         try:
             parts.append(interp.ns.read(path).strip())
         except FsError as exc:
-            io.stderr.append(f"vl: {exc}\n")
+            io.stderr.append(f"vl: {reported(exc)}\n")
             return 1
     binary = "binary[\n" + "".join(f"  {p}\n" for p in parts)
     binary += "".join(f"  lib({name})\n" for name in libraries) + "]\n"

@@ -26,13 +26,18 @@ from repro.shell.lexer import Backquote, Fragment, Lit, VarRef
 from repro.shell.parser import ParseError, parse
 
 
-def diagnostic(exc: BaseException) -> str:
-    """The line the shell prints for *exc*.  That line is the shell's
-    report of a taxonomy error, so the error is counted here, once, as
-    ``fs.error.<kind>``."""
+def reported(exc: BaseException) -> BaseException:
+    """*exc*, about to be printed by the shell or a tool it runs.  That
+    line is the shell's report of a taxonomy error, so the error is
+    counted here, once, as ``fs.error.<kind>``."""
     if isinstance(exc, FsError):
         incr(f"fs.error.{exc.kind}")
-    return fs_diagnostic(exc)
+    return exc
+
+
+def diagnostic(exc: BaseException) -> str:
+    """The structured line the shell prints for *exc*, counted."""
+    return fs_diagnostic(reported(exc))
 
 
 class ShellError(Exception):
@@ -128,7 +133,7 @@ class Interp:
         try:
             src = self.ns.read(path)
         except FsError as exc:
-            return RunResult(1, "", f"rc: {exc}\n")
+            return RunResult(1, "", f"rc: {reported(exc)}\n")
         child = self.subshell()
         child.set_args(path, args or [])
         return child.run(src, stdin)
@@ -530,7 +535,7 @@ def _builtin_dot(interp: Interp, args: list[str], io: IO) -> int:
     try:
         src = interp.ns.read(path)
     except FsError as exc:
-        io.stderr.append(f".: {exc}\n")
+        io.stderr.append(f".: {reported(exc)}\n")
         return 1
     interp.set_args(path, args[1:])
     result_io = IO(stdin=io.stdin)

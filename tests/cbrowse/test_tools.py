@@ -5,6 +5,7 @@ import pytest
 from repro.cbrowse.tools import apply_line_markers, parse_marked_source
 from repro.cbrowse.lexer import tokenize
 from repro.fs import VFS, Namespace
+from repro.metrics.counter import counters
 from repro.shell import Interp
 
 
@@ -47,7 +48,12 @@ class TestCpp:
         assert sh.run("cpp -w").status == 1
 
     def test_missing_file(self, sh):
-        assert sh.run("cpp ghost.c").status == 1
+        """cpp words its own error line, which is still the shell's
+        report of the error: one notfound."""
+        result = sh.run("cpp ghost.c")
+        assert result.status == 1
+        assert result.stderr == "cpp: '/src/ghost.c' does not exist\n"
+        assert counters("fs.error.") == {"fs.error.notfound": 1}
 
     def test_double_include_once(self, sh):
         sh.ns.write("/src/b.c", '#include "dat.h"\n#include "dat.h"\nint x;\n')

@@ -5,6 +5,7 @@ import pytest
 from repro.core.execute import CommandResult, parse_helpsel
 from repro.core.window import Subwindow
 from repro.fs.errors import NotFound
+from repro.fs.faults import Fault, FaultPlan, wrap
 from repro.metrics.counter import counters
 
 
@@ -109,6 +110,20 @@ class TestErrorReports:
         assert "help: open '/gone': does not exist [notfound]" in (
             app.window_by_name("Errors").body.string())
         assert app.metrics.counters("fs.error.") == {"fs.error.notfound": 1}
+
+    def test_a_failed_put_books_once(self, app):
+        """Put! words its own Errors line, and that line is still help's
+        report of the write's failure: one iofault on the session's
+        ledger."""
+        app.ns.write("/tmp/f", "old\n")
+        plan = FaultPlan(Fault(op="write", path="/tmp/f", at=1))
+        app.ns.mount(wrap(app.ns.walk("/tmp"), plan, base="/tmp"), "/tmp")
+        w = app.new_window("/tmp/f", "new\n")
+        app.executor.execute(w, Subwindow.BODY, "Put!")
+        assert plan.fired == [1]
+        assert app.window_by_name("Errors").body.string() == (
+            "help: Put!: '/tmp/f': i/o fault\n")
+        assert app.metrics.counters("fs.error.") == {"fs.error.iofault": 1}
 
     def test_a_shell_error_help_posts_is_booked_once(self):
         """The shell books its diagnostic; help posts the tool's stderr

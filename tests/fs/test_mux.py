@@ -9,6 +9,7 @@ import pytest
 from repro.fs import wire
 from repro.fs.errors import (
     Closed,
+    FsError,
     Invalid,
     IOFault,
     IsADirectory,
@@ -487,6 +488,27 @@ class TestChains:
                 assert plan.injected == 2
         assert counters("fs.error.") == {}
         assert metrics.counters("fs.error.") == {"fs.error.iofault": 2}
+
+    def test_a_handler_crash_books_one_io_error(self):
+        """A handler that fails with a plain exception, a server bug,
+        is answered as an ``io`` error and counted like any other error
+        the server answers: once, on the server's ledger."""
+        def crash() -> str:
+            raise RuntimeError("handler bug")
+
+        root = SynthDir("/", list_fn=lambda: [
+            SynthFile("crash", read_fn=crash)])
+        metrics = MetricsRegistry("server")
+        with WireServer(root, metrics=metrics) as server:
+            _, client = counted_client(server)
+            with client:
+                node = mount_remote(client).lookup("crash")
+                with pytest.raises(FsError) as info:
+                    node.data
+                assert info.value.kind == "io"
+                assert "handler bug" in str(info.value)
+        assert counters("fs.error.") == {}
+        assert metrics.counters("fs.error.") == {"fs.error.io": 1}
 
     def test_a_vanished_file_raises_the_walks_notfound(self):
         """Removed between lookup and access: the walk misses, and the

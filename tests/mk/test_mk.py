@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fs import VFS, Namespace
+from repro.metrics.counter import counters
 from repro.mk import (
     BuildError,
     Builder,
@@ -176,7 +177,12 @@ class TestToolchain:
         assert sh.ns.exists("/src/custom.v")
 
     def test_vc_missing_file(self, sh):
-        assert sh.run("vc nope.c").status == 1
+        """vc words its own error line, which is still the shell's
+        report of the error: one notfound."""
+        result = sh.run("vc nope.c")
+        assert result.status == 1
+        assert result.stderr == "vc: '/src/nope.c' does not exist\n"
+        assert counters("fs.error.") == {"fs.error.notfound": 1}
 
     def test_vl_combines_objects(self, sh):
         sh.run("vc a.c; vc b.c; vl -o out a.v b.v -lbio")
@@ -185,7 +191,10 @@ class TestToolchain:
         assert "lib(bio)" in binary
 
     def test_vl_missing_object(self, sh):
-        assert sh.run("vl -o out ghost.v").status == 1
+        result = sh.run("vl -o out ghost.v")
+        assert result.status == 1
+        assert result.stderr == "vl: '/src/ghost.v' does not exist\n"
+        assert counters("fs.error.") == {"fs.error.notfound": 1}
 
 
 class TestInverted:

@@ -23,7 +23,7 @@ from repro.fs.errors import Busy, FsError, IOFault
 from repro.fs.mux import MuxClient, mount_remote
 from repro.fs.namespace import Namespace
 from repro.fs.vfs import VFS
-from repro.metrics.counter import counters
+from repro.metrics.counter import counters, histograms
 from repro.serve import SessionHost, ShardRouter, input_line
 from repro.serve.replica import ReplicaFeed, ReplicaPair, ReplicaStandby
 
@@ -247,7 +247,10 @@ class TestRouterFailover:
     def test_failover_books_nothing_in_the_callers_ledger(self):
         """The feed and the standby keep their books on the hosts'
         ledgers: a kill, its promotion and the owner's re-attach leave
-        no fs.error.* or replica.* in the caller's default registry."""
+        no counter at all in the caller's default registry.  The
+        histograms it gains are its own client's round trips plus the
+        two feeds' hello frames, which each feed's wire client timed
+        where the router made it."""
         router = ShardRouter(shards=2, replicate=True)
         try:
             client, ns = _attach(router, "alice")
@@ -264,8 +267,10 @@ class TestRouterFailover:
             assert router.audit() == []
         finally:
             router.close()
-        assert counters("fs.error.") == {}
-        assert counters("replica.") == {}
+        assert counters() == {}
+        ops = ("attach", "walk", "open", "read", "write", "clunk", "ship")
+        assert set(histograms()) == {f"mux.rpc.{op}" for op in ops}
+        assert histograms("mux.rpc.ship")["mux.rpc.ship"]["count"] == 2
 
     def test_close_under_live_connections_audits_clean(self):
         """Each live session's drop ships before its feed stops, so

@@ -450,7 +450,8 @@ class TestDiagnostics:
     def test_a_diagnostic_books_its_error_once(self, sh):
         """A diagnostic is where the shell reports a taxonomy error:
         each one printed, by a command or by rc itself, books
-        fs.error.<kind> once."""
+        fs.error.<kind> once, the lines rc's ``.`` and a script run
+        from a file word themselves included."""
         result = run(sh, "cat /absent")
         assert "cat: open '/absent': does not exist [notfound]" in (
             result.stderr)
@@ -458,6 +459,11 @@ class TestDiagnostics:
         result = run(sh, "echo x >/absent/x")
         assert result.stderr.startswith("rc: ")
         assert counters("fs.error.") == {"fs.error.notfound": 2}
+        assert run(sh, ". /absent").stderr == ".: '/absent' does not exist\n"
+        assert counters("fs.error.") == {"fs.error.notfound": 3}
+        assert sh.run_file("/absent").stderr == (
+            "rc: '/absent' does not exist\n")
+        assert counters("fs.error.") == {"fs.error.notfound": 4}
 
 
 class TestStatusVariable:

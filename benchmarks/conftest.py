@@ -21,7 +21,11 @@ import re
 import pytest
 
 from repro import build_system, render_screen
-from repro.metrics.counter import MetricsRegistry, set_default_registry
+from repro.metrics.counter import (
+    MetricsRegistry,
+    current_registry,
+    set_default_registry,
+)
 
 ARTIFACTS = pathlib.Path(__file__).resolve().parent.parent / "bench_artifacts"
 
@@ -217,6 +221,24 @@ def report_extra():
     def put(section: str, **values) -> None:
         _section_extras.setdefault(section, {}).update(values)
     return put
+
+
+@pytest.fixture
+def fold_hosted():
+    """Fold a host's or router's whole ledger into the bench's registry,
+    minus its sessions' ``journal.*`` counters and histograms.
+
+    Hosted sessions journal every input but never replay, and
+    benchgate's ``journal.append.records == journal.replay.records +
+    journal.compact.dropped`` check belongs to the journal benches'
+    closed record/replay loop.
+    """
+    def fold(target) -> None:
+        ledger = target.drain(into=MetricsRegistry("hosted"))
+        ledger.reset_counters("journal.")
+        ledger.reset_histograms("journal.")
+        current_registry().merge(ledger)
+    return fold
 
 
 @pytest.fixture

@@ -9,6 +9,10 @@ section of ``BENCH_perf.json``: per-record apply latency histograms
 (``session.apply_us``) plus the host ledger
 (``host.sessions.opened/closed/bleed``) that
 :mod:`repro.tools.benchgate` audits for balance and zero bleed.
+
+Every hosted session journals, so each input pays its write-ahead
+flush here; the ``fold_hosted`` fixture keeps the journal ledger out
+of the report.
 """
 
 import threading
@@ -40,17 +44,9 @@ def _drive(host, addr, name):
         client.close()
 
 
-def test_perf_session_host_concurrent_replay(benchmark):
-    """K sessions attach, replay, render and retire — all at once.
-
-    Journaling is off: the benchgate invariant ``journal.append.records
-    == journal.replay.records + journal.compact.dropped`` belongs to
-    the journal benches' closed record/replay loop, and a hosted
-    session appends without ever replaying.  Write-ahead costs are
-    measured in test_perf_journal.py.
-    """
-    host = SessionHost(width=160, height=60, workers=SESSIONS,
-                       record=False)
+def test_perf_session_host_concurrent_replay(benchmark, fold_hosted):
+    """K sessions attach, replay, render and retire — all at once."""
+    host = SessionHost(width=160, height=60, workers=SESSIONS)
     addr = host.listen()
     epoch = [0]
     try:
@@ -80,7 +76,7 @@ def test_perf_session_host_concurrent_replay(benchmark):
     finally:
         host.close()
     assert host.audit() == []
-    host.drain()  # the complete cross-session ledger -> BENCH_perf.json
+    fold_hosted(host)  # the cross-session ledger -> BENCH_perf.json
     benchmark.extra_info["sessions"] = SESSIONS
     benchmark.extra_info["records_per_session"] = RECORDS
     median = benchmark.stats.stats.median if benchmark.stats else None
@@ -88,9 +84,9 @@ def test_perf_session_host_concurrent_replay(benchmark):
         benchmark.extra_info["records_per_sec"] = round(applied / median, 1)
 
 
-def test_perf_session_attach_teardown(benchmark):
+def test_perf_session_attach_teardown(benchmark, fold_hosted):
     """The cost of one whole session lifecycle: attach, apply, retire."""
-    host = SessionHost(width=160, height=60, record=False)
+    host = SessionHost(width=160, height=60)
     serial = [0]
     try:
         def lifecycle() -> str:
@@ -102,4 +98,4 @@ def test_perf_session_attach_teardown(benchmark):
     finally:
         host.close()
     assert host.audit() == []
-    host.drain()
+    fold_hosted(host)

@@ -947,21 +947,16 @@ class WireServer:
     and the wire layer's concurrency — many connections, many
     outstanding tags — still stands.
 
-    A :class:`~repro.fs.faults.FaultPlan` can be installed at the
-    transport boundary (``plan=``): every fid's opens, reads, writes
-    and closes consult it, with paths reported under *base*, so the
-    fault schedules from PR 2 apply unchanged to remote service.
+    To serve under a :class:`~repro.fs.faults.FaultPlan`, serve the
+    tree :func:`~repro.fs.faults.wrap` returns: the local fault
+    schedules then apply unchanged to remote service.
     """
 
     def __init__(self, root: Node | None = None, *, max_outstanding: int = 64,
-                 workers: int = 4, plan=None, base: str = "/",
-                 clock: Clock | None = None,
+                 workers: int = 4, clock: Clock | None = None,
                  metrics=None, session_factory=None) -> None:
         if root is None and session_factory is None:
             raise TypeError("WireServer needs a root or a session factory")
-        if plan is not None and root is not None:
-            from repro.fs.faults import wrap
-            root = wrap(root, plan, base=base)
         self.root = root
         self.max_outstanding = max_outstanding
         self.clock = clock

@@ -394,13 +394,15 @@ class Tship(Message):
     bytes mean:
 
     * ``reset`` — *data* replaces the standby's copy of the journal
-      (full text: header + snapshot group + suffix).  Sent when a
-      session is created, adopted, or compacted.
+      (full text: header + snapshot group + suffix) and marks it live.
+      Sent when a session is built or woken, when its journal
+      compacts, and when a snapshot arrives from another host.
     * ``append`` — *data* extends the standby's copy (suffix records,
       whole lines).  Sent on every journal flush.
-    * ``state`` — *meta* carries the session's park state (``live`` or
-      ``parked``); no data.
-    * ``drop`` — the session closed for good; the standby forgets it.
+    * ``state`` — *meta* carries ``parked``: the session lives on as a
+      spooled snapshot; no data.
+    * ``drop`` — the session left this host for good (closed, or its
+      snapshot drained to another shard); the standby forgets it.
     * ``hello`` — the feed's first frame; carries nothing, but marks
       the connection as a feed whose hang-up means the primary died.
 

@@ -74,7 +74,7 @@ class SessionRecorder:
         # compaction via the "inputs" mark in the snapshot group, so a
         # client resuming against a promoted replica knows exactly how
         # many of its writes the journal holds (the resume index).
-        # Recovery seeds it (RecoveryReport.inputs) on adopt/wake.
+        # Recovery seeds it (RecoveryReport.inputs) on a wake.
         self.inputs_recorded = 0
 
     # -- the tee ----------------------------------------------------------

@@ -23,10 +23,11 @@ session's genesis.  Either way the recovered screen is byte-identical
 to the last screen the crashed session had fully applied.
 
 Crash recovery is one caller; the same path rehydrates sessions that
-left RAM on purpose — a shard migration's :meth:`~repro.serve.
-SessionHost.adopt` and a hibernation wake both feed :func:`recover`
-the text :meth:`~repro.journal.recorder.SessionRecorder.
-compact_to_text` produced (header + snapshot group, empty suffix).
+left RAM on purpose — a hibernation wake feeds :func:`recover` the
+text :meth:`~repro.journal.recorder.SessionRecorder.compact_to_text`
+produced (header + snapshot group, empty suffix), whether the session
+hibernated in place, was drained from another shard or was promoted
+from a standby's copy.
 """
 
 from __future__ import annotations

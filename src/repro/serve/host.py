@@ -37,12 +37,17 @@ journal (PR 4's snapshot+truncate) into one serialized text, spools it
 to a disk file, and tears the world down; the session survives as an
 entry in the ``hibernated`` table.  The next ``Tattach`` naming that
 session **wakes** it: the snapshot text rehydrates a fresh world
-through :func:`repro.journal.recovery.recover` (the same path shard
-migration uses), byte-identically, metered into the ``host.wake_us``
-histograms.  With a budget set, sessions past the least-recently-used
-line are hibernated to make room for new attaches, and a dropped
-connection hibernates its session instead of retiring it — a
-disconnected user becomes a nominal one, parked on disk.
+through :func:`repro.journal.recovery.recover`, byte-identically,
+metered into the ``host.wake_us`` histograms.  With a budget set,
+sessions past the least-recently-used line are hibernated to make
+room for new attaches, and a dropped connection hibernates its
+session instead of retiring it — a disconnected user becomes a
+nominal one, parked on disk.
+
+Every move of a session is a snapshot that wakes: a shard drain and a
+replica promotion hand the snapshot text to the target host's
+``hibernated`` table (:meth:`SessionHost.adopt_hibernated`), and the
+owner's next attach wakes it there.  Restoring a world has one path.
 """
 
 from __future__ import annotations
@@ -120,52 +125,42 @@ class HostedSession:
         self.metrics = MetricsRegistry(f"session:{session_id}")
         self.oplock = threading.RLock()
         self.closed = False
-        # A parked session was adopted from a draining shard and waits
-        # for its owner to re-attach under the same name.
-        self.parked = False
         # LRU clock for the hibernation budget: the moment of the last
         # applied input (or the build, until one arrives).
         self.last_input = time.monotonic()
-        # Everything the world's construction touches — fs traffic,
-        # layout caching, the journal's genesis — belongs to this
-        # session's ledger, not to whoever called attach.
         # True while a hibernate is tearing this world down: the
         # session survives as a spooled snapshot, so the retire must
         # NOT ship a replica drop
         self._hibernating = False
+        # Everything the world's construction touches — fs traffic,
+        # layout caching, the journal's genesis — belongs to this
+        # session's ledger, not to whoever called attach.
         with self.metrics.activate():
             self.system = host._build(session_id, uname, self.metrics)
-            self.journal = None
-            self.recorder = None
+            recovery = None
             if journal_text is not None:
-                # Migration or wake: rebuild the world from the
-                # serialized journal (snapshot group + suffix, PR 4
-                # recovery).
+                # a wake: rebuild the world from the spooled snapshot
+                # group + suffix (journal crash recovery)
                 from repro.journal.recovery import recover
                 recovery = recover(self.system.help, journal_text)
-            if host.record:
-                self.journal = Journal.create(self.system.ns,
-                                              journal_path(session_id),
-                                              metrics=self.metrics)
-                if journal_text is not None:
-                    from repro.journal.record import scan_text
-                    scanned = scan_text(journal_text).records
-                    if scanned:
-                        # sequence numbering survives the migration
-                        self.journal.seq = scanned[-1].seq
-                self.recorder = attach(self.system.help, self.journal,
-                                       context=self.system.context)
-                if journal_text is not None:
-                    # the resume index and the journal survive the
-                    # rebuild together; re-found the journal on a
-                    # snapshot of the adopted state — the next drain
-                    # or hibernate starts here
-                    self.recorder.inputs_recorded = recovery.inputs
-                    self.recorder.compact()
+            self.journal = Journal.create(self.system.ns,
+                                          journal_path(session_id),
+                                          metrics=self.metrics)
+            if recovery is not None and recovery.scan.records:
+                # sequence numbering continues from the snapshot
+                self.journal.seq = recovery.scan.records[-1].seq
+            self.recorder = attach(self.system.help, self.journal,
+                                   context=self.system.context)
+            if recovery is not None:
+                # the resume index and the journal survive the rebuild
+                # together; re-found the journal on a snapshot of the
+                # woken state — the next hibernate starts here
+                self.recorder.inputs_recorded = recovery.inputs
+                self.recorder.compact()
             feed = host.replica
-            if feed is not None and self.journal is not None:
+            if feed is not None:
                 # one full reset puts the standby at this exact journal
-                # (genesis or adopted snapshot); every later flush and
+                # (genesis or woken snapshot); every later flush and
                 # compaction ships through the durability hook, so a
                 # write is acked only once the standby holds its record
                 sink = self.journal.sink
@@ -225,14 +220,10 @@ class HostedSession:
         index: after failover a client reads this to learn exactly how
         many of its writes the promoted journal holds."""
         self._check("read")
-        if self.recorder is not None:
-            return f"{self.recorder.inputs_recorded}\n"
-        return f"{self.metrics.counter('session.input.applied')}\n"
+        return f"{self.recorder.inputs_recorded}\n"
 
     def _read_journal(self) -> str:
         self._check("read")
-        if self.journal is None:
-            return ""
         return "".join(r.kind + "\n" for r in self.journal.records)
 
     def _read_metrics(self) -> str:
@@ -270,24 +261,22 @@ class HostedSession:
         if self.closed:
             return False
         self.closed = True
-        if self.recorder is not None:
-            with self.metrics.activate():
-                self.recorder._flush()
+        with self.metrics.activate():
+            self.recorder._flush()
         self.host._retire(self)
         return True
 
     def detach(self) -> None:
-        """The connection dropped: park the session or retire it.
+        """The connection dropped: hibernate the session or retire it.
 
         With a hibernation budget on the host, a disconnect turns the
         session nominal — compacted to disk, woken by the owner's next
-        attach.  Without one (or for an unjournalled world, or during
-        host shutdown) the drop retires the session as before.
+        attach.  Without one (or during host shutdown) the drop
+        retires the session as before.
         """
         if self.closed:
             return
-        if (self.host.max_live is not None and self.recorder is not None
-                and not self.host._closing):
+        if self.host.max_live is not None and not self.host._closing:
             try:
                 self.host.hibernate(self.id)
                 return
@@ -300,16 +289,12 @@ class SessionHost:
     """N isolated help sessions behind one wire server."""
 
     def __init__(self, *, width: int = 100, height: int = 40,
-                 record: bool = True, extra_tools: bool = False,
                  metrics: MetricsRegistry | None = None,
-                 plan_for=None, id_prefix: str = "s",
-                 max_outstanding: int = 64, workers: int = 4,
+                 plan_for=None, id_prefix: str = "s", workers: int = 4,
                  max_live: int | None = None,
                  spool: str | pathlib.Path | None = None) -> None:
         self.width = width
         self.height = height
-        self.record = record
-        self.extra_tools = extra_tools
         # plan_for(session_id) -> FaultPlan | None: a deterministic
         # fault schedule for that one session's served tree
         self.plan_for = plan_for
@@ -348,7 +333,6 @@ class SessionHost:
         self._next = 1
         self.server = WireServer(metrics=self.metrics,
                                  session_factory=self._make_session,
-                                 max_outstanding=max_outstanding,
                                  workers=workers)
 
     # -- accepting connections --------------------------------------------
@@ -413,41 +397,21 @@ class SessionHost:
         from repro.tools.install import build_system
         return build_system(width=self.width, height=self.height,
                             user=uname or "rob",
-                            extra_tools=self.extra_tools,
                             session_id=session_id, metrics=metrics)
 
     def _make_session(self, uname: str, aname: str) -> HostedSession:
         with self._lock:
             session_id = aname or f"{self.id_prefix}{self._next}"
             self._next += 1
-            existing = self.sessions.get(session_id)
-            claimed = None
-            if existing is not None and existing.parked:
-                # a migrated session waiting for its owner: claim it —
-                # the claimer's identity replaces the stale one and the
-                # LRU clock restarts, or the fresh claim would be the
-                # first hibernation victim
-                existing.parked = False
-                if uname:
-                    existing.uname = uname
-                existing.last_input = time.monotonic()
-                self.metrics.incr("host.sessions.claimed")
-                claimed = existing
-            elif session_id in self.sessions:
+            if session_id in self.sessions:
                 raise Busy(f"session {session_id!r} already attached",
                            path=f"session/{session_id}", op="attach")
-            else:
-                wake_path = self.hibernated.pop(session_id, None)
-                wake_uname = self._hibernated_uname.pop(session_id, None)
-                # reserve the name before the (slow) world build
-                self.sessions[session_id] = None  # type: ignore[assignment]
-        if claimed is not None:
-            # the standby's tracked state follows (outside the host
-            # lock: shipping is an rpc)
-            self._ship(claimed.id, "state", meta="live")
-            return claimed
+            wake_path = self.hibernated.pop(session_id, None)
+            wake_uname = self._hibernated_uname.pop(session_id, None)
+            # reserve the name before the (slow) world build
+            self.sessions[session_id] = None  # type: ignore[assignment]
         try:
-            self._ensure_room(exclude=session_id)
+            self._ensure_room()
             start = time.perf_counter()
             journal_text = None
             if wake_path is not None:
@@ -488,47 +452,15 @@ class SessionHost:
         self.metrics.incr("host.sessions.opened")
         return session
 
-    def adopt(self, session_id: str, uname: str,
-              journal_text: str | None) -> HostedSession:
-        """Take over a session migrated from another shard.
-
-        Rebuilds the world from *journal_text* (the source shard's
-        snapshot + journal suffix) and parks the result: the next
-        Tattach naming *session_id* claims it instead of building a
-        fresh world, so the migration is invisible to the client apart
-        from the reconnect.
-        """
-        with self._lock:
-            if session_id in self.sessions:
-                raise Busy(f"session {session_id!r} already attached",
-                           path=f"session/{session_id}", op="adopt")
-            self.sessions[session_id] = None  # type: ignore[assignment]
-        try:
-            self._ensure_room(exclude=session_id)
-            session = HostedSession(self, session_id, uname,
-                                    journal_text=journal_text)
-        except BaseException:
-            with self._lock:
-                self.sessions.pop(session_id, None)
-            raise
-        session.parked = True
-        with self._lock:
-            self.sessions[session_id] = session
-            live = sum(1 for s in self.sessions.values() if s is not None)
-        self.live_peak = max(self.live_peak, live)
-        self.metrics.incr("host.sessions.opened")
-        self.metrics.incr("host.sessions.adopted")
-        # construction shipped the reset as "live"; it is parked
-        self._ship(session_id, "state", meta="parked")
-        return session
-
     def adopt_hibernated(self, session_id: str, uname: str,
                          journal_text: str) -> None:
-        """Take over another shard's **hibernated** session.
+        """Take over a snapshot from another host.
 
         The snapshot text is re-spooled locally and the session joins
-        this host's ``hibernated`` table without ever being resident —
-        a drained shard's nominal users move as files, not worlds.
+        this host's ``hibernated`` table without ever being resident;
+        the next attach naming it wakes it.  A drained shard's
+        sessions and a promoted standby's copies all arrive this way:
+        sessions move as files, not worlds.
         """
         with self._lock:
             if session_id in self.sessions or session_id in self.hibernated:
@@ -544,6 +476,31 @@ class SessionHost:
         # must re-spool them, so the snapshot ships whole
         self._ship(session_id, "reset", journal_text, meta=uname)
         self._ship(session_id, "state", meta="parked")
+
+    def move_hibernated(self, session_id: str, to: "SessionHost") -> bool:
+        """Hand one hibernated snapshot over to host *to*.
+
+        False when there is nothing to move: the session was woken or
+        evicted meanwhile, or its snapshot is unreadable.  The session
+        leaves this host for good, so its standby copy is dropped.
+        """
+        with self._lock:
+            path = self.hibernated.pop(session_id, None)
+            uname = self._hibernated_uname.pop(session_id, "")
+        if path is None:
+            return False
+        try:
+            text = path.read_text()
+        except OSError:
+            return False
+        to.adopt_hibernated(session_id, uname, text)
+        self.metrics.incr("host.sessions.hib.out")
+        self._ship(session_id, "drop")
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return True
 
     def _retire(self, session: HostedSession) -> None:
         with self._lock:
@@ -616,9 +573,6 @@ class SessionHost:
             if parked:
                 return
             raise NotFound(path=f"session/{session_id}", op="hibernate")
-        if session.recorder is None:
-            raise Invalid("cannot hibernate an unjournalled session",
-                          path=f"session/{session_id}", op="hibernate")
         with session.oplock:
             if session.closed:
                 if session._hibernating:
@@ -651,30 +605,23 @@ class SessionHost:
         # durability hook; only the state flips
         self._ship(session_id, "state", meta="parked")
 
-    def _ensure_room(self, exclude: str | None = None) -> None:
-        """Hibernate LRU sessions until the budget fits one more world.
+    def _ensure_room(self) -> None:
+        """Hibernate LRU sessions until the budget fits every world
+        reserved for a build, the caller's included.
 
-        Victims are picked by ``last_input`` (parked sessions, whose
-        clock never restarts, go first by construction).  A victim
-        without a journal cannot hibernate and is evicted instead —
-        the budget is a hard ceiling either way.
+        Victims are picked by ``last_input``, the oldest first.
         """
         if self.max_live is None:
             return
         while True:
             with self._lock:
-                total = len(self.sessions) + (1 if exclude
-                                              not in self.sessions else 0)
-                victims = [s for sid, s in self.sessions.items()
-                           if s is not None and sid != exclude]
-                if total <= self.max_live or not victims:
+                victims = [s for s in self.sessions.values()
+                           if s is not None]
+                if len(self.sessions) <= self.max_live or not victims:
                     return
                 victim = min(victims, key=lambda s: s.last_input)
             try:
                 self.hibernate(victim.id)
-            except Invalid:
-                if victim.close():
-                    self.metrics.incr("host.sessions.evicted")
             except NotFound:
                 pass  # raced a close; re-evaluate
 
@@ -753,11 +700,8 @@ class SessionHost:
             return (session_id in self.sessions
                     or session_id in self.hibernated)
 
-    def _session_state(self, session: HostedSession) -> str:
-        return "parked" if session.parked else "live"
-
     def _list_text(self) -> str:
-        """One line per session — live, parked, busy or hibernated.
+        """One line per session — live, busy or hibernated.
 
         Live rows read ``help.windows`` and ``journal.seq``, which a
         concurrent input apply mutates; each row takes its session's
@@ -775,10 +719,9 @@ class SessionHost:
             if s.oplock.acquire(blocking=False):
                 try:
                     lines.append(
-                        f"{s.id}\t{s.uname}\t{self._session_state(s)}"
+                        f"{s.id}\t{s.uname}\tlive"
                         f"\twindows={len(s.system.help.windows)}"
-                        f"\trecords="
-                        f"{0 if s.journal is None else s.journal.seq}\n")
+                        f"\trecords={s.journal.seq}\n")
                 finally:
                     s.oplock.release()
             else:
@@ -806,10 +749,9 @@ class SessionHost:
         try:
             h = session.system.help
             return (f"id {session.id}\nuser {session.uname}\n"
-                    f"state {self._session_state(session)}\n"
+                    "state live\n"
                     f"windows {len(h.windows)}\n"
-                    f"records "
-                    f"{0 if session.journal is None else session.journal.seq}\n"
+                    f"records {session.journal.seq}\n"
                     f"screen {h.screen.rect.width}x{h.screen.rect.height}\n")
         finally:
             session.oplock.release()

@@ -205,11 +205,11 @@ class ReplicaStandby:
     """A warm spare: a SessionHost plus the shipped journal copies."""
 
     def __init__(self, *, width: int = 100, height: int = 40,
-                 extra_tools: bool = False, id_prefix: str = "rs",
-                 max_live: int | None = None, plan_for=None) -> None:
-        self.host = SessionHost(width=width, height=height, record=True,
-                                extra_tools=extra_tools, id_prefix=id_prefix,
-                                max_live=max_live, plan_for=plan_for)
+                 id_prefix: str = "rs", max_live: int | None = None,
+                 plan_for=None) -> None:
+        self.host = SessionHost(width=width, height=height,
+                                id_prefix=id_prefix, max_live=max_live,
+                                plan_for=plan_for)
         self.metrics = self.host.metrics
         self.promoted = False
         # called on the standby's reactor thread once the feed hangs
@@ -354,8 +354,8 @@ class ReplicaPair:
         self.primary = primary
         self.standby = ReplicaStandby(
             width=primary.width, height=primary.height,
-            extra_tools=primary.extra_tools, id_prefix=standby_prefix,
-            max_live=primary.max_live, plan_for=primary.plan_for)
+            id_prefix=standby_prefix, max_live=primary.max_live,
+            plan_for=primary.plan_for)
         self.feed = ReplicaFeed(self.standby.host.pipe(),
                                 metrics=primary.metrics)
         primary.attach_replica(self.feed)

@@ -17,15 +17,14 @@ but the attach decision:
 * ``srv/sessions`` stays host-level: the router installs itself as
   every shard's ``directory``, so the control file lists, stats and
   evicts across all shards no matter which shard serves the read.
-* :meth:`drain_shard` retires a shard gracefully: each live session is
-  flushed and compacted, its journal (snapshot group + suffix, the
-  PR 4 recovery format) is carried to another shard via
-  :meth:`~repro.serve.SessionHost.adopt`, and a placement override
-  routes the session's next attach to its new home.  In-flight RPCs
-  finish first — migration takes each session's oplock.  Hibernated
-  sessions relocate as snapshot files (``adopt_hibernated``) without
-  ever becoming resident, and ``hibernate <id>`` on ``srv/sessions``
-  reaches across shards the same way ``evict`` does.
+* :meth:`drain_shard` retires a shard gracefully: each live session
+  hibernates (in-flight RPCs finish first — hibernation takes each
+  session's oplock), every snapshot on the shard's spool moves to
+  another shard's ``hibernated`` table
+  (:meth:`~repro.serve.SessionHost.move_hibernated`), and a placement
+  override routes the session's next attach to its new home, where it
+  wakes.  ``hibernate <id>`` on ``srv/sessions`` reaches across shards
+  the same way ``evict`` does.
 
 Sessions are placed by ``crc32(aname)`` over the non-draining shards;
 anonymous attaches round-robin.  Shard ids never collide because each
@@ -67,10 +66,9 @@ class ShardRouter:
     """N SessionHost shards, routed by attach name, drained live."""
 
     def __init__(self, shards: int = 4, *, width: int = 100,
-                 height: int = 40, record: bool = True,
-                 extra_tools: bool = False, max_outstanding: int = 64,
-                 workers: int = 4, max_live: int | None = None,
-                 plan_for=None, replicate: bool = False) -> None:
+                 height: int = 40, workers: int = 4,
+                 max_live: int | None = None, plan_for=None,
+                 replicate: bool = False) -> None:
         if shards < 1:
             raise ValueError("a router needs at least one shard")
         self.metrics = MetricsRegistry("router")
@@ -78,11 +76,8 @@ class ShardRouter:
         # hold at most shards * max_live resident worlds; plan_for is
         # shared — a fault schedule keys on session id, not placement
         self.hosts = [SessionHost(width=width, height=height,
-                                  record=record, extra_tools=extra_tools,
-                                  id_prefix=f"sh{i}.",
-                                  max_outstanding=max_outstanding,
-                                  workers=workers, max_live=max_live,
-                                  plan_for=plan_for)
+                                  id_prefix=f"sh{i}.", workers=workers,
+                                  max_live=max_live, plan_for=plan_for)
                       for i in range(shards)]
         for host in self.hosts:
             host.directory = self
@@ -100,8 +95,6 @@ class ShardRouter:
         # killed primaries, kept so close() can tear their threads down
         self.dead: list[SessionHost] = []
         if replicate:
-            if not record:
-                raise ValueError("replication needs journals: record=True")
             for i, host in enumerate(self.hosts):
                 pair = ReplicaPair(host, standby_prefix=f"sh{i}r.")
                 pair.standby.on_lost = lambda i=i: self._fail_over(i)
@@ -115,7 +108,7 @@ class ShardRouter:
         """The shard that owns *aname*'s session (or will)."""
         with self._lock:
             placed = self._placement.get(aname) if aname else None
-            if placed is not None:
+            if placed is not None and placed not in self._draining:
                 return placed
             active = [i for i in range(len(self.hosts))
                       if i not in self._draining]
@@ -253,21 +246,18 @@ class ShardRouter:
                           len(report.get("problems", [])))
         return report
 
-    # -- drain / migration ------------------------------------------------
+    # -- drain -------------------------------------------------------------
 
     def drain_shard(self, index: int) -> list[str]:
-        """Retire shard *index*: migrate every session elsewhere.
+        """Retire shard *index*: move every session elsewhere.
 
-        Each live session is closed on the source shard under its
-        oplock (so an in-flight RPC completes first), its journal text
-        is adopted by a destination shard, and a placement override
-        points the session's next attach there.  Hibernated sessions
-        migrate too — their snapshot files move to the destination
-        shard's spool (``adopt_hibernated``) without ever becoming
-        resident, so a drained shard's nominal users survive the
-        drain.  Returns the migrated session ids.  The shard keeps
-        serving non-migrated traffic until its connections drop; new
-        attaches never route to it again.
+        Each live session hibernates on the source shard under its
+        oplock (so an in-flight RPC completes first); then every
+        snapshot on the source's spool moves to another shard's
+        ``hibernated`` table, and a placement override points the
+        session's next attach there, where it wakes.  Returns the
+        moved session ids.  New attaches never route to the shard
+        again.
         """
         with self._lock:
             if index in self._draining:
@@ -275,58 +265,29 @@ class ShardRouter:
             self._draining.add(index)
         source = self.hosts[index]
         with source._lock:
-            live = [s for s in source.sessions.values() if s is not None]
-        migrated: list[str] = []
-        for session in live:
-            target = self.shard_for(session.id)
-            if self._migrate(session, self.hosts[target]):
-                with self._lock:
-                    self._placement[session.id] = target
-                migrated.append(session.id)
-                self.metrics.incr("router.sessions.migrated")
-        for session_id in self._relocate_hibernated(source):
-            migrated.append(session_id)
-            self.metrics.incr("router.sessions.relocated")
-        return migrated
-
-    def _migrate(self, session, target_host: SessionHost) -> bool:
-        with session.oplock:
-            if session.closed:
-                return False
-            text = None
-            if session.recorder is not None:
-                with session.metrics.activate():
-                    text = session.recorder.compact_to_text()
-            uname = session.uname
-            session_id = session.id
-            session.close()
-        target_host.adopt(session_id, uname, text)
-        return True
+            live = [sid for sid, s in source.sessions.items()
+                    if s is not None]
+        for session_id in live:
+            try:
+                source.hibernate(session_id)
+            except NotFound:
+                continue  # closed while we iterated
+            self.metrics.incr("router.sessions.migrated")
+        return self._relocate_hibernated(source)
 
     def _relocate_hibernated(self, source: SessionHost) -> list[str]:
         """Move *source*'s hibernated snapshots to their new shards."""
         with source._lock:
-            parked = list(source.hibernated.items())
+            parked = list(source.hibernated)
         moved: list[str] = []
-        for session_id, path in parked:
-            with source._lock:
-                if source.hibernated.get(session_id) is not path:
-                    continue  # woken or evicted while we iterated
-                del source.hibernated[session_id]
-                uname = source._hibernated_uname.pop(session_id, "")
-            try:
-                text = path.read_text()
-            except OSError:
-                continue  # an unreadable snapshot cannot move
+        for session_id in parked:
+            # the destination first: with nowhere to go, nothing leaves
             target = self.shard_for(session_id)
-            self.hosts[target].adopt_hibernated(session_id, uname, text)
-            source.metrics.incr("host.sessions.hib.out")
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            if not source.move_hibernated(session_id, self.hosts[target]):
+                continue
             with self._lock:
                 self._placement[session_id] = target
+            self.metrics.incr("router.sessions.relocated")
             moved.append(session_id)
         return moved
 

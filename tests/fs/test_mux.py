@@ -17,7 +17,7 @@ from repro.fs.errors import (
     NotFound,
     Permission,
 )
-from repro.fs.faults import Fault, FaultPlan
+from repro.fs.faults import Fault, FaultPlan, wrap
 from repro.fs.mux import (
     FrameReader,
     MuxClient,
@@ -459,7 +459,7 @@ class TestChains:
         vfs = make_tree()
         metrics = MetricsRegistry("server")
         plan = FaultPlan(Fault(op="open", path="/notes.txt", at=1))
-        with WireServer(vfs.root, plan=plan, metrics=metrics) as server:
+        with WireServer(wrap(vfs.root, plan), metrics=metrics) as server:
             _, client = counted_client(server)
             with client:
                 node = mount_remote(client).lookup("notes.txt")
@@ -478,7 +478,7 @@ class TestChains:
         plan = FaultPlan(Fault(op="read", path="/notes.txt", at=1),
                          Fault(op="close", path="/notes.txt", at=1))
         metrics = MetricsRegistry("server")
-        with WireServer(vfs.root, plan=plan, metrics=metrics) as server:
+        with WireServer(wrap(vfs.root, plan), metrics=metrics) as server:
             _, client = counted_client(server)
             with client:
                 node = mount_remote(client).lookup("notes.txt")
@@ -569,7 +569,7 @@ class TestTransportFaults:
             Fault(op="open", path="/docs/a.txt", at=2),
             Fault(op="read", path="/notes.txt", at=1, short=3),
         )
-        server = WireServer(vfs.root, plan=plan)
+        server = WireServer(wrap(vfs.root, plan))
         client_end, server_end = channel_pair()
         server.serve(server_end)
         client = MuxClient(client_end)
@@ -590,7 +590,7 @@ class TestTransportFaults:
     def test_close_time_fault_surfaces_at_clunk(self):
         vfs = make_tree()
         plan = FaultPlan(Fault(op="close", path="/notes.txt", at=1))
-        server = WireServer(vfs.root, plan=plan)
+        server = WireServer(wrap(vfs.root, plan))
         client_end, server_end = channel_pair()
         server.serve(server_end)
         client = MuxClient(client_end)

@@ -344,10 +344,6 @@ class TestRouterFailover:
         finally:
             router.close()
 
-    def test_replicate_requires_journalling(self):
-        with pytest.raises(ValueError):
-            ShardRouter(shards=2, replicate=True, record=False)
-
     def test_kill_shard_without_replica_is_invalid(self):
         from repro.fs.errors import Invalid
         router = ShardRouter(shards=2)

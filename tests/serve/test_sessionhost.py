@@ -311,14 +311,19 @@ def test_stat_and_list_never_block_on_a_busy_session(monkeypatch):
 
 
 def test_claiming_a_parked_session_takes_the_claimer_uname():
-    """A migrated session parked under its old owner must show the
-    claimer's identity once claimed — not the stale uname."""
+    """A snapshot adopted under its old owner must show the waker's
+    identity once woken — not the stale uname."""
+    source = SessionHost()
     host = SessionHost()
     try:
-        host.adopt("moved", "old-owner", None)
+        _client, ns = _attach(source, "moved")
+        ns.append("/s/input", _newwin("/tmp/note", "moved text\n"))
+        source.hibernate("moved")
+        host.adopt_hibernated("moved", "old-owner",
+                              source.hibernated["moved"].read_text())
         before = host._stat_text("moved")
         assert "user old-owner\n" in before
-        assert "state parked\n" in before
+        assert "state hibernated\n" in before
         channel = host.pipe()
         client = MuxClient(channel, uname="new-owner", aname="moved")
         try:
@@ -330,8 +335,9 @@ def test_claiming_a_parked_session_takes_the_claimer_uname():
             client.close()
     finally:
         host.close()
+        source.close()
     assert host.audit() == []
-    assert host.metrics.counter("host.sessions.claimed") == 1
+    assert host.metrics.counter("host.sessions.woken") == 1
 
 
 def test_hibernate_wake_round_trip_is_byte_identical():

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.fs import wire
-from repro.fs.errors import Closed, NotFound
+from repro.fs.errors import Busy, Closed, NotFound
 from repro.fs.mux import FrameReader, MuxClient, SocketChannel, dial, \
     mount_remote
 from repro.fs.namespace import Namespace
@@ -33,6 +33,22 @@ def _attach(router, aname):
 
 def _newwin(tag, body):
     return input_line("newwin", ("-", "-", "-", tag, body))
+
+
+def _wait(predicate, timeout=10.0, interval=0.01):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+def _names_on_shard(router, index, count):
+    """*count* attach names the hash sends to shard *index*."""
+    names = [f"u{i}" for i in range(256) if router.shard_for(f"u{i}") == index]
+    assert len(names) >= count, "crc32 never filled the shard"
+    return names[:count]
 
 
 def _two_names_on_different_shards(router):
@@ -318,6 +334,81 @@ class TestDrain:
             screen = ns2.read("/s/screen")
             assert "/tmp/note" in screen
             assert "survived the drain" in screen
+        finally:
+            router.close()
+        assert router.audit() == []
+
+    def test_a_drain_drops_every_leaving_session_from_the_standby(self):
+        """A drained shard's standby forgets every session that left,
+        hibernated ones included, so failing that shard over later
+        resurrects no second copy."""
+        router = ShardRouter(shards=2, replicate=True, max_live=4)
+        try:
+            awake, dormant = _names_on_shard(router, 0, 2)
+            _a, a_ns = _attach(router, awake)
+            _d, d_ns = _attach(router, dormant)
+            d_ns.append("/s/input", _newwin("/tmp/note", "dormant text\n"))
+            router.hibernate(dormant)
+            standby = router.pairs[0].standby
+            assert set(standby.tracked()) == {awake, dormant}
+
+            assert sorted(router.drain_shard(0)) == sorted([awake, dormant])
+            assert standby.tracked() == {}
+            router.kill_shard(0)
+            assert _wait(lambda: router.hosts[0] is standby.host)
+            ids = [line.split("\t")[0]
+                   for line in router._list_text().splitlines()]
+            assert sorted(ids) == sorted([awake, dormant])
+        finally:
+            router.close()
+        assert router.audit() == []
+
+    def test_a_drain_with_nowhere_to_go_loses_nothing(self):
+        """With no other shard to take it, a hibernated session stays
+        on the drained shard's spool and still wakes there."""
+        router = ShardRouter(shards=1, max_live=4)
+        try:
+            _client, ns = _attach(router, "stay")
+            ns.append("/s/input", _newwin("/tmp/note", "kept text\n"))
+            before = ns.read("/s/screen")
+            router.hibernate("stay")
+            with pytest.raises(Busy):
+                router.drain_shard(0)
+            assert "stay" in router.hosts[0].hibernated
+            # no attach routes to a draining shard: wake it directly
+            client, ns2 = _attach(router.hosts[0], "stay")
+            assert ns2.read("/s/screen") == before
+            client.close()
+        finally:
+            router.close()
+        assert router.audit() == []
+
+    @pytest.mark.parametrize("dormant", [False, True],
+                             ids=["live", "hibernated"])
+    def test_a_second_drain_never_routes_back_into_a_draining_shard(
+            self, dormant):
+        """A session placed by one drain moves again when its new shard
+        drains: it wakes on the shard that is not draining, with its
+        screen unchanged."""
+        router = ShardRouter(shards=3, max_live=4)
+        try:
+            client, ns = _attach(router, "x")
+            home = router.shard_for("x")
+            ns.append("/s/input", _newwin("/tmp/note", "moved twice\n"))
+            before = ns.read("/s/screen")
+            assert router.drain_shard(home) == ["x"]
+            placed = router.shard_for("x")
+            client, ns = _attach(router, "x")
+            assert ns.read("/s/screen") == before
+            if dormant:
+                router.hibernate("x")
+            assert router.drain_shard(placed) == ["x"]
+            (rest,) = {0, 1, 2} - {home, placed}
+            assert router.shard_for("x") == rest
+            _client3, ns3 = _attach(router, "x")
+            assert ns3.read("/s/screen") == before
+            assert "x" in router.hosts[rest].sessions
+            client.close()
         finally:
             router.close()
         assert router.audit() == []

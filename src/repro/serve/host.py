@@ -477,23 +477,49 @@ class SessionHost:
         self._ship(session_id, "reset", journal_text, meta=uname)
         self._ship(session_id, "state", meta="parked")
 
-    def move_hibernated(self, session_id: str, to: "SessionHost") -> bool:
-        """Hand one hibernated snapshot over to host *to*.
+    def move(self, session_id: str, to: "SessionHost") -> bool:
+        """Hand one session over to host *to* as a snapshot it wakes.
 
-        False when there is nothing to move: the session was woken or
-        evicted meanwhile, or its snapshot is unreadable.  The session
-        leaves this host for good, so its standby copy is dropped.
+        The session stays here until *to* holds its snapshot, so an
+        attach naming it finds it on one host or the other, never a
+        fresh world.  A live session compacts under its oplock (an
+        in-flight input lands first) and closes once *to* has adopted
+        it: a client that re-attaches the moment it sees ``Closed``
+        wakes it there.  A hibernated one keeps its name reserved
+        while it moves, so an attach meanwhile is refused (``Busy``).
+        False when there is nothing to move.  If *to* refuses the
+        snapshot (``Busy``: the name is taken there) or it cannot be
+        read, the session stays here.  A moved session leaves this
+        host for good, so its standby copy is dropped.
         """
+        with self._lock:
+            session = self.sessions.get(session_id)
+        if session is not None:
+            with session.oplock:
+                if not session.closed:
+                    with session.metrics.activate():
+                        text = session.recorder.compact_to_text()
+                    to.adopt_hibernated(session_id, session.uname, text)
+                    if session.close():  # the retire ships the drop
+                        return True
+                    to.evict(session_id)  # an evict slipped in: honour it
+                    return False
         with self._lock:
             path = self.hibernated.pop(session_id, None)
             uname = self._hibernated_uname.pop(session_id, "")
-        if path is None:
-            return False
+            if path is None:
+                return False
+            self.sessions[session_id] = None  # type: ignore[assignment]
+        moved = False
         try:
-            text = path.read_text()
-        except OSError:
-            return False
-        to.adopt_hibernated(session_id, uname, text)
+            to.adopt_hibernated(session_id, uname, path.read_text())
+            moved = True
+        finally:
+            with self._lock:
+                self.sessions.pop(session_id, None)
+                if not moved:
+                    self.hibernated[session_id] = path
+                    self._hibernated_uname[session_id] = uname
         self.metrics.incr("host.sessions.hib.out")
         self._ship(session_id, "drop")
         try:

@@ -17,13 +17,14 @@ but the attach decision:
 * ``srv/sessions`` stays host-level: the router installs itself as
   every shard's ``directory``, so the control file lists, stats and
   evicts across all shards no matter which shard serves the read.
-* :meth:`drain_shard` retires a shard gracefully: each live session
-  hibernates (in-flight RPCs finish first — hibernation takes each
-  session's oplock), every snapshot on the shard's spool moves to
-  another shard's ``hibernated`` table
-  (:meth:`~repro.serve.SessionHost.move_hibernated`), and a placement
+* :meth:`drain_shard` retires a shard gracefully: one at a time, each
+  session — live or hibernated — moves to another shard's
+  ``hibernated`` table as a snapshot
+  (:meth:`~repro.serve.SessionHost.move`; a live one compacts under
+  its oplock, so in-flight RPCs finish first), and a placement
   override routes the session's next attach to its new home, where it
-  wakes.  ``hibernate <id>`` on ``srv/sessions`` reaches across shards
+  wakes.  Until its move, a session is still reached on the draining
+  shard.  ``hibernate <id>`` on ``srv/sessions`` reaches across shards
   the same way ``evict`` does.
 
 Sessions are placed by ``crc32(aname)`` over the non-draining shards;
@@ -107,17 +108,26 @@ class ShardRouter:
     def shard_for(self, aname: str) -> int:
         """The shard that owns *aname*'s session (or will)."""
         with self._lock:
+            if aname:
+                # until a drain moves it, a session is reached where it is
+                for i in self._draining:
+                    if self.hosts[i]._knows(aname):
+                        return i
             placed = self._placement.get(aname) if aname else None
             if placed is not None and placed not in self._draining:
                 return placed
-            active = [i for i in range(len(self.hosts))
-                      if i not in self._draining]
-            if not active:
-                raise Busy("all shards draining", path="router", op="attach")
-            if not aname:
-                self._rr += 1
-                return active[(self._rr - 1) % len(active)]
-            return active[zlib.crc32(aname.encode("utf-8")) % len(active)]
+            return self._spread(aname)
+
+    def _spread(self, aname: str) -> int:  # under self._lock
+        """Hash *aname* over the active shards; anonymous round-robins."""
+        active = [i for i in range(len(self.hosts))
+                  if i not in self._draining]
+        if not active:
+            raise Busy("all shards draining", path="router", op="attach")
+        if not aname:
+            self._rr += 1
+            return active[(self._rr - 1) % len(active)]
+        return active[zlib.crc32(aname.encode("utf-8")) % len(active)]
 
     # -- accepting connections --------------------------------------------
 
@@ -251,45 +261,39 @@ class ShardRouter:
     def drain_shard(self, index: int) -> list[str]:
         """Retire shard *index*: move every session elsewhere.
 
-        Each live session hibernates on the source shard under its
-        oplock (so an in-flight RPC completes first); then every
-        snapshot on the source's spool moves to another shard's
-        ``hibernated`` table, and a placement override points the
-        session's next attach there, where it wakes.  Returns the
-        moved session ids.  New attaches never route to the shard
-        again.
+        One session at a time: the destination shard is picked first,
+        so with nowhere to go nothing leaves, and a placement override
+        points the session's attaches there; then the session moves
+        as a snapshot (:meth:`~repro.serve.SessionHost.move` — a live
+        one compacts under its oplock, so an in-flight RPC completes
+        first) and wakes on its next attach.  Until its move, a
+        session is still reached on this shard; no other attach
+        routes here again.  Returns the moved session ids; a session
+        the destination refuses stays, and a second call moves what
+        the first left.
         """
         with self._lock:
-            if index in self._draining:
-                return []
             self._draining.add(index)
         source = self.hosts[index]
         with source._lock:
             live = [sid for sid, s in source.sessions.items()
                     if s is not None]
-        for session_id in live:
-            try:
-                source.hibernate(session_id)
-            except NotFound:
-                continue  # closed while we iterated
-            self.metrics.incr("router.sessions.migrated")
-        return self._relocate_hibernated(source)
-
-    def _relocate_hibernated(self, source: SessionHost) -> list[str]:
-        """Move *source*'s hibernated snapshots to their new shards."""
-        with source._lock:
             parked = list(source.hibernated)
-        moved: list[str] = []
-        for session_id in parked:
+        migrated = [sid for sid in live if self._move(source, sid)]
+        self.metrics.incr("router.sessions.migrated", len(migrated))
+        relocated = [sid for sid in parked if self._move(source, sid)]
+        self.metrics.incr("router.sessions.relocated", len(relocated))
+        return migrated + relocated
+
+    def _move(self, source: SessionHost, session_id: str) -> bool:
+        with self._lock:
             # the destination first: with nowhere to go, nothing leaves
-            target = self.shard_for(session_id)
-            if not source.move_hibernated(session_id, self.hosts[target]):
-                continue
-            with self._lock:
-                self._placement[session_id] = target
-            self.metrics.incr("router.sessions.relocated")
-            moved.append(session_id)
-        return moved
+            target = self._spread(session_id)
+            self._placement[session_id] = target
+        try:
+            return source.move(session_id, self.hosts[target])
+        except (Busy, NotFound, OSError):
+            return False  # refused, raced or unreadable: it stays here
 
     # -- the federated srv/sessions directory ------------------------------
 

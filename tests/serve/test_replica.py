@@ -26,6 +26,7 @@ from repro.fs.vfs import VFS
 from repro.metrics.counter import counters, histograms
 from repro.serve import SessionHost, ShardRouter, input_line
 from repro.serve.replica import ReplicaFeed, ReplicaPair, ReplicaStandby
+from tests.serve.helpers import wait
 
 
 def _attach(host, aname):
@@ -38,15 +39,6 @@ def _attach(host, aname):
 
 def _newwin(tag, body):
     return input_line("newwin", ("-", "-", "-", tag, body))
-
-
-def _wait(predicate, timeout=10.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 @pytest.fixture
@@ -84,7 +76,7 @@ class TestSyncShipping:
         client, ns = _attach(pair.primary, "alice")
         ns.append("/s/input", _newwin("/tmp/note", "hello"))
         client.close()
-        assert _wait(lambda: "alice" not in pair.standby.tracked())
+        assert wait(lambda: "alice" not in pair.standby.tracked())
 
     def test_primary_audit_balances(self, pair):
         client, ns = _attach(pair.primary, "alice")
@@ -231,7 +223,7 @@ class TestRouterFailover:
 
             router.kill_shard(index)
             # the standby reads the hang-up and the router promotes
-            assert _wait(lambda: router.metrics.counter(
+            assert wait(lambda: router.metrics.counter(
                 "router.shards.promoted") == 1, timeout=10.0)
             assert router.hosts[index] is router.pairs[index].standby.host
 
@@ -259,7 +251,7 @@ class TestRouterFailover:
                          if "alice" in h.sessions)
             router.kill_shard(index)
             client.close()
-            assert _wait(lambda: router.metrics.counter(
+            assert wait(lambda: router.metrics.counter(
                 "router.shards.promoted") == 1)
             client2, ns2 = _attach(router, "alice")
             assert "body text" in ns2.read("/s/screen")
@@ -308,8 +300,8 @@ class TestRouterFailover:
 
             router.kill_shard(0)
             client.close()
-            assert _wait(lambda: router.hosts[0]
-                         is router.pairs[0].standby.host)
+            assert wait(lambda: router.hosts[0]
+                        is router.pairs[0].standby.host)
             client2, ns2 = _attach(router, "alice")
             assert int(ns2.read("/s/inputs")) == acked
             assert "/tmp/late" in ns2.read("/s/screen")
@@ -323,8 +315,8 @@ class TestRouterFailover:
         try:
             start = time.monotonic()
             router.kill_shard(0)
-            assert _wait(lambda: router.hosts[0]
-                         is router.pairs[0].standby.host, interval=0.001)
+            assert wait(lambda: router.hosts[0]
+                        is router.pairs[0].standby.host, interval=0.001)
             assert time.monotonic() - start < 0.25
         finally:
             router.close()
@@ -335,8 +327,8 @@ class TestRouterFailover:
         router = ShardRouter(shards=1, replicate=True)
         try:
             router.kill_shard(0)
-            assert _wait(lambda: router.hosts[0]
-                         is router.pairs[0].standby.host)
+            assert wait(lambda: router.hosts[0]
+                        is router.pairs[0].standby.host)
             client, ns = _attach(router, "alice")
             ns.append("/s/input", _newwin("/tmp/note", "hello"))
             assert "alice" in router.pairs[0].standby.host.sessions

@@ -21,6 +21,8 @@ from repro.fs.mux import FrameReader, MuxClient, SocketChannel, dial, \
 from repro.fs.namespace import Namespace
 from repro.fs.vfs import VFS
 from repro.serve import ShardRouter, input_line
+from repro.serve.host import HostedSession
+from tests.serve.helpers import wait
 
 
 def _attach(router, aname):
@@ -33,15 +35,6 @@ def _attach(router, aname):
 
 def _newwin(tag, body):
     return input_line("newwin", ("-", "-", "-", tag, body))
-
-
-def _wait(predicate, timeout=10.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 def _names_on_shard(router, index, count):
@@ -355,7 +348,7 @@ class TestDrain:
             assert sorted(router.drain_shard(0)) == sorted([awake, dormant])
             assert standby.tracked() == {}
             router.kill_shard(0)
-            assert _wait(lambda: router.hosts[0] is standby.host)
+            assert wait(lambda: router.hosts[0] is standby.host)
             ids = [line.split("\t")[0]
                    for line in router._list_text().splitlines()]
             assert sorted(ids) == sorted([awake, dormant])
@@ -363,22 +356,90 @@ class TestDrain:
             router.close()
         assert router.audit() == []
 
-    def test_a_drain_with_nowhere_to_go_loses_nothing(self):
-        """With no other shard to take it, a hibernated session stays
-        on the drained shard's spool and still wakes there."""
+    @pytest.mark.parametrize("dormant", [False, True],
+                             ids=["live", "hibernated"])
+    def test_a_drain_with_nowhere_to_go_loses_nothing(self, dormant):
+        """With no other shard to take it, a session is left as it
+        was: a live one keeps its connection, a hibernated one stays
+        on the drained shard's spool, and an attach still reaches it."""
         router = ShardRouter(shards=1, max_live=4)
         try:
-            _client, ns = _attach(router, "stay")
+            client, ns = _attach(router, "stay")
             ns.append("/s/input", _newwin("/tmp/note", "kept text\n"))
             before = ns.read("/s/screen")
-            router.hibernate("stay")
+            if dormant:
+                router.hibernate("stay")
             with pytest.raises(Busy):
                 router.drain_shard(0)
-            assert "stay" in router.hosts[0].hibernated
-            # no attach routes to a draining shard: wake it directly
-            client, ns2 = _attach(router.hosts[0], "stay")
-            assert ns2.read("/s/screen") == before
+            if dormant:
+                assert "stay" in router.hosts[0].hibernated
+                client, ns = _attach(router, "stay")
+            assert "stay" in router.hosts[0].sessions
+            assert ns.read("/s/screen") == before
             client.close()
+        finally:
+            router.close()
+        assert router.audit() == []
+
+    def test_a_session_the_destination_refuses_stays_and_moves_later(self):
+        """A destination that already holds the name refuses the move:
+        the session stays as it was, and a second drain moves it once
+        the name is free."""
+        router = ShardRouter(shards=2)
+        try:
+            (name,) = _names_on_shard(router, 0, 1)
+            client, ns = _attach(router, name)
+            ns.append("/s/input", _newwin("/tmp/note", "refused text\n"))
+            before = ns.read("/s/screen")
+            squatter, _ns = _attach(router.hosts[1], name)
+            assert router.drain_shard(0) == []
+            assert ns.read("/s/screen") == before
+            squatter.close()
+            assert wait(lambda: name not in router.hosts[1].sessions)
+            assert router.drain_shard(0) == [name]
+            client.close()
+            _client2, ns2 = _attach(router, name)
+            assert ns2.read("/s/screen") == before
+            assert name in router.hosts[1].sessions
+        finally:
+            router.close()
+        assert router.audit() == []
+
+    @pytest.mark.parametrize("racer", ["own", "other"])
+    def test_an_attach_racing_a_drain_finds_the_session(self, monkeypatch,
+                                                        racer):
+        """An attach naming a session while the drain is under way
+        reaches that session, never a fresh world: the client of a
+        live one re-attaching the moment its session closes ("own"),
+        or the owner of a hibernated one coming back while the drain
+        moves another session ("other").  Nothing is lost."""
+        router = ShardRouter(shards=2, max_live=4)
+        try:
+            name, other = _names_on_shard(router, 0, 2)
+            _client, ns = _attach(router, name)
+            ns.append("/s/input", _newwin("/tmp/note", "raced text\n"))
+            before = ns.read("/s/screen")
+            if racer == "other":
+                router.hibernate(name)
+                _keep = _attach(router, other)
+            trigger = name if racer == "own" else other
+            raced = {}
+            real_close = HostedSession.close
+
+            def close(session):
+                closed = real_close(session)
+                if session.id == trigger and not raced:
+                    raced["client"], raced_ns = _attach(router, name)
+                    raced["screen"] = raced_ns.read("/s/screen")
+                return closed
+
+            monkeypatch.setattr(HostedSession, "close", close)
+            assert name in router.drain_shard(0)
+            assert raced["screen"] == before
+            assert router.audit() == []
+            holders = [i for i, host in enumerate(router.hosts)
+                       if host._knows(name)]
+            assert holders == [1]
         finally:
             router.close()
         assert router.audit() == []

@@ -90,8 +90,7 @@ def _fan_out(count: int, work) -> None:
 
 def test_perf_hibernate_soak(benchmark, report_extra):
     """10k sessions through a MAX_LIVE budget, then a wake wave."""
-    host = SessionHost(width=100, height=40, workers=WORKERS,
-                       max_live=MAX_LIVE)
+    host = SessionHost(width=100, height=40, max_live=MAX_LIVE)
     try:
         def soak() -> int:
             # phase 1: churn — WORKERS threads walk all 10k sessions,

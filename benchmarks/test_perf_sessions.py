@@ -46,7 +46,7 @@ def _drive(host, addr, name):
 
 def test_perf_session_host_concurrent_replay(benchmark, fold_hosted):
     """K sessions attach, replay, render and retire — all at once."""
-    host = SessionHost(width=160, height=60, workers=SESSIONS)
+    host = SessionHost(width=160, height=60)
     addr = host.listen()
     epoch = [0]
     try:

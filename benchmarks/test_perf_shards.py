@@ -63,10 +63,7 @@ def _count_frames(channel, buf: bytearray, want: int) -> None:
 
 def test_perf_shards_aggregate_throughput(benchmark, report_extra,
                                           fold_hosted):
-    # workers=0: RPCs run inline on each shard's reactor — on shared
-    # cores the thread handoff costs more than it buys, and a pooled
-    # server refuses a 256-deep window past its 64 in flight.
-    router = ShardRouter(shards=SHARDS, workers=0)
+    router = ShardRouter(shards=SHARDS)
     host, port = router.listen()
     channels = []
     try:

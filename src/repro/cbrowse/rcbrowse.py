@@ -16,8 +16,8 @@ positions in the source.
 from __future__ import annotations
 
 from repro.cbrowse.symbols import Decl, Program, Use
+from repro.fs.errors import FsError
 from repro.fs.namespace import Namespace
-from repro.fs.vfs import FsError, join
 from repro.shell import ast
 from repro.shell.lexer import Backquote, Lit, VarRef
 from repro.shell.parser import ParseError, parse

@@ -23,7 +23,8 @@ import re
 from repro.cbrowse.lexer import CToken, tokenize
 from repro.cbrowse.parser import parse_program
 from repro.cbrowse.symbols import Program
-from repro.fs.vfs import FsError, dirname, join
+from repro.fs.errors import FsError
+from repro.fs.vfs import dirname, join
 from repro.shell.interp import IO, Interp, reported
 
 _LINE_MARKER = re.compile(r'#line\s+(\d+)\s+"([^"]*)"')

@@ -88,7 +88,7 @@ class Executor:
         is reported in the Errors window, the paper's only channel
         from a failing tool to the user, and help stays live.
         """
-        from repro.fs.vfs import FsError
+        from repro.fs.errors import FsError
         text = text.strip()
         if not text:
             return

@@ -18,24 +18,22 @@ every read is short, exercising frame reassembly), and
 TCP.  So the server's reactor selects on one fd kind, and in-process
 channels get the same write-queue backpressure as TCP.
 
-A connection's requests are served and answered in arrival order, so
-a client may send a fid's whole chain — walk, open, read, clunk — in
+The reactor serves every request inline, in arrival order, so a
+client may send a fid's whole chain — walk, open, read, clunk — in
 one write: :meth:`MuxClient.batch` does, and a :class:`RemoteFile`
 read or write is one round trip.  Both TCP ends turn off Nagle, which
 would otherwise hold part of a chain back for a delayed ACK.
 
 Flow control: the client bounds its own outstanding requests with a
-window of permits, and the server protects itself independently — a
-connection exceeding ``max_outstanding`` in-flight requests gets
-``busy`` error replies until it drains.
+window of permits; the server stops reading a connection whose
+replies pile up unread past a high-water mark.
 
 Instrumentation (:mod:`repro.metrics`): the server counts every RPC
 (``wire.rpc.<op>``) and byte (``wire.bytes.in`` / ``wire.bytes.out``)
-and every error it answers (``fs.error.<kind>``), tracks the
-in-flight gauge (``mux.inflight``), and records per-op service-time
-histograms (``wire.rpc.<op>``, microseconds); the client records
-round-trip histograms (``mux.rpc.<op>``) and books nothing for an
-error reply.
+and every error it answers (``fs.error.<kind>``), and records per-op
+service-time histograms (``wire.rpc.<op>``, microseconds); the client
+records round-trip histograms (``mux.rpc.<op>``) and books nothing for
+an error reply.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 from repro.fs import wire
@@ -70,6 +67,10 @@ _RECV_SIZE = 1 << 16
 # resume once the queue drains below _LOW_WATER.
 _HIGH_WATER = 1 << 20
 _LOW_WATER = 1 << 18
+
+# What a request on a bare tree holds while it runs: nothing, since
+# only the reactor thread serves requests.
+_NO_LOCK = nullcontext()
 
 
 # -- transports --------------------------------------------------------------
@@ -175,10 +176,9 @@ class FrameReader:
     in place instead of re-slicing the remainder per frame.
     """
 
-    def __init__(self, channel, bytes_counter: str | None = None) -> None:
+    def __init__(self, channel) -> None:
         self._channel = channel
         self._buf = bytearray()
-        self._bytes_counter = bytes_counter
 
     def next_frame(self) -> wire.Message | None:
         """The next complete message, or None at orderly end of stream.
@@ -204,8 +204,6 @@ class FrameReader:
                     raise IOFault("connection closed mid-frame",
                                   path="<wire>", op="read")
                 return None
-            if self._bytes_counter:
-                incr(self._bytes_counter, len(chunk))
             buf += chunk
 
 
@@ -390,23 +388,21 @@ class _FidState:
 
 class _Connection:
     """One client connection on the reactor: incremental zero-copy
-    parse, per-connection write queue, worker-pool dispatch.
+    parse, inline service, per-connection write queue.
 
-    The reactor thread feeds bytes into ``_rbuf`` and decodes frames
+    The reactor thread feeds bytes into ``_rbuf``, decodes frames
     straight out of it through a ``memoryview`` (one compaction per
-    burst, no per-frame copies); handlers run on the server's worker
-    pool — or inline on the reactor when the pool is disabled
-    (``workers=0``) — and their replies queue on the connection,
-    flushed by the reactor with writable-event pacing.  A queue past
-    ``_HIGH_WATER`` pauses reading (the client sees transport
-    backpressure); draining past ``_LOW_WATER`` resumes it.
+    burst, no per-frame copies) and serves each one in arrival order;
+    the replies queue on the connection, flushed by the reactor with
+    writable-event pacing.  A queue past ``_HIGH_WATER`` pauses
+    reading (the client sees transport backpressure); draining past
+    ``_LOW_WATER`` resumes it.  Only the reactor thread touches a
+    connection, so none of its state takes a lock.
 
     With a session factory on the server, the connection also owns one
     **hosted session** — created at attach, torn down with the
     connection — and binds that session's metrics registry around all
     work done on its behalf, so N connections keep N separate ledgers.
-    Parsing pauses while an attach is being served, so no later frame
-    can race into the wrong ledger.
     """
 
     def __init__(self, server: "WireServer", channel,
@@ -415,27 +411,11 @@ class _Connection:
         self.channel = channel
         self.reactor = server._reactor
         self.fids: dict[int, _FidState] = {}
-        self.inflight = 0
         self.session = None  # set at attach by the session factory
         self.feed = False    # carried a Tship: a replica feed
-        self.closed = False
-        self._lock = threading.Lock()       # fids + inflight
-        self._wlock = threading.Lock()      # write queue
         self._wbuf: deque = deque()
         self._wsize = 0
-        self._flush_scheduled = False
         self._rbuf = bytearray(initial)
-        # FIFO service queue: frames hand off to the worker pool in
-        # arrival order through a single drainer task per connection,
-        # so a pipelined burst (walk, open, read, clunk on one fid) is
-        # served in the order it was sent.  No parallelism is lost:
-        # non-attach ops on a connection already take turns on the
-        # session's oplock (or the server-wide one for bare trees), so
-        # the pool's concurrency lives *across* connections either way.
-        self._svc_lock = threading.Lock()
-        self._svc_queue: deque = deque()
-        self._svc_running = False
-        self._paused_attach = False
         self._paused_write = False
         self._events = 0                    # current selector mask
         self._eof = False
@@ -453,7 +433,7 @@ class _Connection:
         registry = self._registry()
         return nullcontext() if registry is None else use_registry(registry)
 
-    # -- reactor-side input path (reactor thread only) --------------------
+    # -- input path -------------------------------------------------------
 
     def _start(self) -> None:
         if self._torn:
@@ -493,8 +473,8 @@ class _Connection:
         self._process()
 
     def _process(self) -> None:
-        """Decode and dispatch every complete frame buffered so far."""
-        while not self._torn and not self._paused_attach:
+        """Decode and serve every complete frame buffered so far."""
+        while not self._torn and not self._paused_write:
             buf = self._rbuf
             if not buf:
                 break
@@ -513,11 +493,10 @@ class _Connection:
                         if msg is None:
                             break
                         pos = nxt
-                        if self._dispatch(msg):
+                        if self._serve(msg):
                             stop = True
                             break
-                        if (not self._paused_write
-                                and self._wsize >= _HIGH_WATER):
+                        if self._wsize >= _HIGH_WATER:
                             # the peer is not reading its replies: stop
                             # parsing (and reading) until the queue drains
                             self._paused_write = True
@@ -531,95 +510,27 @@ class _Connection:
             if error:
                 self._start_teardown()
                 return
-            if not stop or self._paused_attach or self._paused_write:
+            if not stop or self._paused_write:
                 break
-            # an inline attach swapped the session: loop to re-bind
+            # the connection's registry changed: loop to re-bind
         self._flush_writes()
-        if self._eof and not self._paused_attach and not self._torn:
+        if self._eof and not self._torn:
             self._start_teardown()
 
-    def _dispatch(self, msg: wire.Message) -> bool:
-        """Queue *msg* for service; True = stop parsing this burst."""
-        with self._lock:
-            busy = self.inflight >= self.server.max_outstanding
-            if not busy:
-                self.inflight += 1
-        if busy:
-            # backpressure: the client has too many requests in
-            # flight; refuse this one instead of queueing unbounded
-            incr(f"wire.rpc.{msg.op}")
-            self._reply(self._error(msg.tag, Busy(
-                "server busy: too many outstanding requests",
-                path="<wire>", op=msg.op)))
-            return False
-        incr("mux.inflight")
-        executor = self.server._executor
-        if executor is None:
-            # inline mode: RPCs run on the reactor itself — the fast
-            # path for trees that never block
-            before = self.session
-            self._serve_one(msg)
-            return self.session is not before
-        resume = (msg.type == wire.Tattach.type
-                  and self.server.session_factory is not None)
-        if resume:
-            # the hosted session must be installed before any later
-            # frame is served; pause parsing until the attach lands
-            self._paused_attach = True
-        with self._svc_lock:
-            self._svc_queue.append((msg, resume))
-            if self._svc_running:
-                return resume
-            self._svc_running = True
-        executor.submit(self._drain_service)
-        return resume
-
-    def _drain_service(self) -> None:  # worker pool
-        """Serve this connection's queued frames, strictly in order."""
-        while True:
-            with self._svc_lock:
-                if not self._svc_queue:
-                    self._svc_running = False
-                    return
-                msg, resume = self._svc_queue.popleft()
-            self._serve_one(msg, resume)
-
-    def _resume_attach(self) -> None:  # reactor thread
-        self._paused_attach = False
-        if not self._torn:
-            self._process()
-
-    # -- service (worker pool, or the reactor when inline) ----------------
-
-    def _serve_one(self, msg: wire.Message, resume: bool = False) -> None:
-        # executor threads don't inherit the reactor's context;
-        # re-bind the session's registry here.  Inline on the reactor
-        # the burst loop in _process is already bound, so the context
-        # dance would be pure overhead on the hot path.
-        if self.server._executor is None:
-            self._serve_bound(msg)
-            return
-        with self._bind():
-            self._serve_bound(msg)
-        if resume:
-            self.reactor.submit(self._resume_attach)
-
-    def _serve_bound(self, msg: wire.Message) -> None:
-        # counted where served, not where decoded: a ledger read inside
-        # a chain must not see the ops queued behind it
+    def _serve(self, msg: wire.Message) -> bool:
+        """Serve *msg* and queue its reply.  True when the registry
+        this connection books into changed (an attach installed a
+        session, or the session retired): the burst must re-bind."""
+        before = self._registry()
         incr(f"wire.rpc.{msg.op}")
         start = time.perf_counter()
         try:
             reply = self._handle(msg)
         except Exception as exc:  # a server bug must not kill the loop
             reply = self._error(msg.tag, exc)
-        finally:
-            observe(f"wire.rpc.{msg.op}",
-                    (time.perf_counter() - start) * 1e6)
-            with self._lock:
-                self.inflight -= 1
-            incr("mux.inflight", -1)
+        observe(f"wire.rpc.{msg.op}", (time.perf_counter() - start) * 1e6)
         self._reply(reply)
+        return self._registry() is not before
 
     # -- reply path -------------------------------------------------------
 
@@ -633,63 +544,37 @@ class _Connection:
         return reply
 
     def _reply(self, reply: wire.Message) -> None:
+        """Queue *reply*; the burst in :meth:`_process` flushes it."""
+        if self._torn:
+            return  # peer went away; nothing to tell it
         frame = wire.encode(reply)
-        if self._send_frame(frame):
-            incr("wire.bytes.out", len(frame))
+        self._wbuf.append(frame)
+        self._wsize += len(frame)
+        incr("wire.bytes.out", len(frame))
 
-    def _send_frame(self, frame: bytes) -> bool:  # any thread
-        with self._wlock:
-            if self.closed:
-                return False  # peer went away; nothing to tell it
-            self._wbuf.append(frame)
-            self._wsize += len(frame)
-            scheduled = self._flush_scheduled
-            self._flush_scheduled = True
-        if not scheduled and not self.reactor.on_thread():
-            # on the reactor, the burst loop flushes once at the end;
-            # pool threads must wake it
-            self.reactor.submit(self._flush_writes)
-        return True
-
-    def _flush_writes(self) -> None:  # reactor thread only
+    def _flush_writes(self) -> None:
         if self._torn:
             return
-        while True:
-            with self._wlock:
-                self._flush_scheduled = False
-                if not self._wbuf:
-                    data = None
-                else:
-                    # coalesce small replies into one transport write
-                    data = self._wbuf.popleft()
-                    if self._wbuf and len(data) < _RECV_SIZE:
-                        parts = [data]
-                        size = len(data)
-                        while self._wbuf and size < _RECV_SIZE * 4:
-                            nxt = self._wbuf.popleft()
-                            parts.append(nxt)
-                            size += len(nxt)
-                        data = b"".join(parts)
-            if data is None:
-                break
+        while self._wbuf:
+            # coalesce small replies into one transport write
+            data = self._wbuf.popleft()
+            if self._wbuf and len(data) < _RECV_SIZE:
+                parts = [data]
+                size = len(data)
+                while self._wbuf and size < _RECV_SIZE * 4:
+                    nxt = self._wbuf.popleft()
+                    parts.append(nxt)
+                    size += len(nxt)
+                data = b"".join(parts)
             try:
                 sent = self.channel.try_send(data)
             except OSError:
                 self._start_teardown()
                 return
-            with self._wlock:
-                self._wsize -= sent
+            self._wsize -= sent
             if sent < len(data):
-                with self._wlock:
-                    self._wbuf.appendleft(bytes(data[sent:]))
+                self._wbuf.appendleft(bytes(data[sent:]))
                 break  # kernel buffer full: wait for EVENT_WRITE
-        if not self._paused_write and self._wsize >= _HIGH_WATER:
-            # worker replies outran the peer between its reads; the
-            # dispatch-time check in _process never sees that, so the
-            # write path must trip the pause itself
-            self._paused_write = True
-            with self._bind():
-                incr("wire.backpressure.paused")
         self._update_events()
         if self._paused_write and self._wsize <= _LOW_WATER:
             self._paused_write = False
@@ -698,15 +583,14 @@ class _Connection:
             self._update_events()
             self.reactor.submit(self._process)
 
-    def _update_events(self) -> None:  # reactor thread only
+    def _update_events(self) -> None:
         if self._torn:
             return
         mask = 0
         if not self._paused_write and not self._eof:
             mask |= selectors.EVENT_READ
-        with self._wlock:
-            if self._wbuf:
-                mask |= selectors.EVENT_WRITE
+        if self._wbuf:
+            mask |= selectors.EVENT_WRITE
         if mask == self._events:
             return
         try:
@@ -723,17 +607,10 @@ class _Connection:
     # -- op handlers --------------------------------------------------------
 
     def _handle(self, msg: wire.Message) -> wire.Message:
-        # a hosted session takes turns on its own lock, so one slow
-        # session never stalls its neighbours; bare trees use the
-        # server-wide lock as before
-        lock = self.server._oplock
-        if self.session is not None:
-            lock = getattr(self.session, "oplock", None) or lock
         if isinstance(msg, wire.Tattach):
             return self._attach(msg)
         if isinstance(msg, wire.Tship):
-            # replica feed frames never belong to a hosted session and
-            # run in order through the connection's service queue; the
+            # replica feed frames never belong to a hosted session; the
             # handler locks its own state, so no oplock is taken here
             handler = self.server.ship_handler
             if handler is None:
@@ -745,9 +622,10 @@ class _Connection:
         if handler is None:
             raise Invalid(f"unexpected message {type(msg).__name__}",
                           path="<wire>", op="dispatch")
-        with lock:
-            with self._lock:
-                state = self.fids.get(msg.fid)
+        # a hosted session's oplock keeps its world from the drain
+        # thread and from control writes another host serves
+        with getattr(self.session, "oplock", None) or _NO_LOCK:
+            state = self.fids.get(msg.fid)
             if state is not None and state.node is None:
                 return self._unlinked_op(msg, state)
             return handler(self, msg)
@@ -759,14 +637,12 @@ class _Connection:
         clunk forgets the fid.
         """
         if isinstance(msg, wire.Tclunk):
-            with self._lock:
-                self.fids.pop(msg.fid, None)
+            self.fids.pop(msg.fid, None)
         failed = state.failed or NotFound(path=state.path, op="walk")
         return wire.Rerror.from_exc(msg.tag, failed)
 
     def _fid(self, fid: int, op: str) -> _FidState:
-        with self._lock:
-            state = self.fids.get(fid)
+        state = self.fids.get(fid)
         if state is None:
             raise Invalid(f"unknown fid {fid}", path="<wire>", op=op)
         return state
@@ -778,15 +654,13 @@ class _Connection:
             self.session = self.server.session_factory(msg.uname, msg.aname)
         root = (self.server.root if self.session is None
                 else self.session.root)
-        with self._lock:
-            self.fids[msg.fid] = _FidState(root, "/")
+        self.fids[msg.fid] = _FidState(root, "/")
         return wire.Rattach(tag=msg.tag, is_dir=root.is_dir,
                             mtime=root.mtime)
 
     def _walk(self, msg: wire.Twalk) -> wire.Message:
         src = self._fid(msg.fid, "walk")
-        with self._lock:
-            held = self.fids.get(msg.newfid)
+        held = self.fids.get(msg.newfid)
         if msg.newfid != msg.fid and held is not None and held.node is not None:
             raise Invalid(f"fid {msg.newfid} already in use",
                           path="<wire>", op="walk")
@@ -805,8 +679,7 @@ class _Connection:
                 self._unlinked(msg, path)
                 return wire.Rwalk(tag=msg.tag, found=False)
             node = child
-        with self._lock:
-            self.fids[msg.newfid] = _FidState(node, path)
+        self.fids[msg.newfid] = _FidState(node, path)
         return wire.Rwalk(tag=msg.tag, found=True, is_dir=node.is_dir,
                           mtime=node.mtime)
 
@@ -815,8 +688,7 @@ class _Connection:
         """Remember the newfid of a walk that missed or failed, for
         whatever a chain queued on it; a later walk may reuse it."""
         if msg.newfid != msg.fid:
-            with self._lock:
-                self.fids[msg.newfid] = _FidState(None, path, error)
+            self.fids[msg.newfid] = _FidState(None, path, error)
 
     def _open(self, msg: wire.Topen) -> wire.Message:
         state = self._fid(msg.fid, "open")
@@ -863,8 +735,7 @@ class _Connection:
 
     def _clunk(self, msg: wire.Tclunk) -> wire.Message:
         state = self._fid(msg.fid, "clunk")
-        with self._lock:
-            del self.fids[msg.fid]
+        del self.fids[msg.fid]
         if state.session is not None:
             state.session.close()  # close-time errors reach the client
         return wire.Rclunk(tag=msg.tag)
@@ -884,12 +755,10 @@ class _Connection:
     _FID_OPS = {wire.Twalk: _walk, wire.Topen: _open, wire.Tread: _read,
                 wire.Twrite: _write, wire.Tclunk: _clunk, wire.Tstat: _stat}
 
-    def _start_teardown(self) -> None:  # reactor thread only
+    def _start_teardown(self) -> None:
         if self._torn:
             return
         self._torn = True
-        with self._wlock:
-            self.closed = True
         with self.server._lock:
             self.server._conns.discard(self)
         if self._events:
@@ -904,8 +773,7 @@ class _Connection:
 
     def _teardown(self) -> None:
         try:
-            with self._lock:
-                fids, self.fids = self.fids, {}
+            fids, self.fids = self.fids, {}
             with self._bind():
                 for state in fids.values():
                     if state.session is not None:
@@ -935,30 +803,26 @@ class WireServer:
 
     The server side is a non-blocking event loop: one :class:`_Reactor`
     thread owns every connection's socket, parses frames zero-copy out of
-    per-connection receive buffers, and enforces write-queue
-    backpressure.  Handlers that touch session or tree state run on a
-    small worker pool (``workers``); with ``workers=0`` they run inline
-    on the reactor — the fastest path, for trees whose handlers never
-    block.
-
-    Node operations on a bare tree run one at a time under a
-    server-wide lock (a hosted session takes its own): the trees we
-    serve (``help``'s window files in particular) are not thread-safe,
-    and the wire layer's concurrency — many connections, many
-    outstanding tags — still stands.
+    per-connection receive buffers, serves each request inline, and
+    enforces write-queue backpressure.  So node operations run one at a
+    time, which the trees we serve (``help``'s window files in
+    particular) need, and the wire layer's concurrency — many
+    connections, many outstanding tags — still stands.  While one
+    request waits, the server's other connections wait too: a handler
+    must never wait on work only this server's reactor can do, such as
+    an RPC to this server or its :meth:`close`.
 
     To serve under a :class:`~repro.fs.faults.FaultPlan`, serve the
     tree :func:`~repro.fs.faults.wrap` returns: the local fault
     schedules then apply unchanged to remote service.
     """
 
-    def __init__(self, root: Node | None = None, *, max_outstanding: int = 64,
-                 workers: int = 4, clock: Clock | None = None,
-                 metrics=None, session_factory=None) -> None:
+    def __init__(self, root: Node | None = None, *,
+                 clock: Clock | None = None, metrics=None,
+                 session_factory=None) -> None:
         if root is None and session_factory is None:
             raise TypeError("WireServer needs a root or a session factory")
         self.root = root
-        self.max_outstanding = max_outstanding
         self.clock = clock
         # metrics: the registry connection work reports into when no
         # hosted session is bound (None: whatever is active).
@@ -975,9 +839,6 @@ class WireServer:
         # Installed by a ReplicaStandby (repro.serve.replica); None
         # refuses ship frames with Invalid.
         self.ship_handler = None
-        self._oplock = threading.Lock()
-        self._executor = (ThreadPoolExecutor(max_workers=workers)
-                          if workers else None)
         self._reactor = _Reactor()
         self._lock = threading.Lock()
         # live connections; each leaves at its teardown
@@ -1019,9 +880,9 @@ class WireServer:
             channel.close()
 
     def close(self) -> None:
-        """Stop listening, drop every connection, release the workers.
+        """Stop listening, drop every connection, stop the reactor.
 
-        Returns once the handlers already running have finished, so no
+        Returns once the handler already running has finished, so no
         RPC outlives the server and its ledger is settled.
         """
         with self._lock:
@@ -1041,8 +902,6 @@ class WireServer:
         for conn in conns:
             conn._done.wait(timeout=5)
         self._reactor.stop()
-        if self._executor is not None:
-            self._executor.shutdown()
 
     def kill(self) -> None:
         """Crash the server: stop everything with NO orderly teardown.
@@ -1067,15 +926,11 @@ class WireServer:
                 pass
         for conn in conns:
             conn._torn = True
-            with conn._wlock:
-                conn.closed = True
             try:
                 conn.channel.close()
             except Exception:
                 pass
             conn._done.set()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
 
     def __enter__(self) -> "WireServer":
         return self
@@ -1100,10 +955,9 @@ class MuxClient:
 
     Many threads may call :meth:`rpc` or :meth:`batch` at once; each
     message takes a free tag, and a receiver thread routes replies
-    back by tag, so slow requests do not block fast ones.
-    ``max_outstanding`` bounds the requests in flight — the client-side
-    half of flow control (the server enforces its own limit with
-    ``busy`` replies).
+    back by tag.  ``max_outstanding`` bounds the requests in flight:
+    the client's half of flow control (the server's is its write-queue
+    backpressure).
     """
 
     ROOT_FID = 0

@@ -24,7 +24,6 @@ import fnmatch
 
 from repro.fs.errors import (
     Exists,
-    FsError,
     Invalid,
     IsADirectory,
     NotADirectory,

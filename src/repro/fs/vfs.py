@@ -17,7 +17,6 @@ from typing import Iterator
 from repro.fs.errors import (
     Closed,
     Exists,
-    FsError,
     Invalid,
     IsADirectory,
     NotADirectory,

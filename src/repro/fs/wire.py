@@ -520,19 +520,6 @@ def encode(msg: Message) -> bytes:
     return _HEADER.pack(size, msg.type, msg.tag) + payload
 
 
-def header(buf, start: int = 0) -> tuple[int, int, int] | None:
-    """Peek the ``(size, type, tag)`` of the frame at *start*.
-
-    Returns None when fewer than :data:`HEADER_SIZE` bytes are
-    available.  No validation — use :func:`decode` for that — but cheap
-    enough for routers and pipelined clients to scan frame boundaries
-    without materializing messages.
-    """
-    if len(buf) - start < HEADER_SIZE:
-        return None
-    return _HEADER.unpack_from(buf, start)
-
-
 def decode(buf, start: int = 0) -> tuple[Message | None, int]:
     """Decode one frame from *buf* at *start*.
 
@@ -575,4 +562,4 @@ __all__ = ["MAX_MESSAGE", "SEQUENTIAL", "HEADER_SIZE", "Message",
            "StatEntry", "Tattach", "Rattach", "Twalk", "Rwalk", "Topen",
            "Ropen", "Tread", "Rread", "Twrite", "Rwrite", "Tclunk",
            "Rclunk", "Tstat", "Rstat", "Tship", "Rship", "Rerror",
-           "MESSAGES", "encode", "decode", "header"]
+           "MESSAGES", "encode", "decode"]

@@ -14,7 +14,8 @@ which is how failure-injection tests exercise mk's error path.
 
 from __future__ import annotations
 
-from repro.fs.vfs import FsError, basename, join
+from repro.fs.errors import FsError
+from repro.fs.vfs import basename
 from repro.shell.interp import IO, Interp, reported
 
 

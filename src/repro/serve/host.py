@@ -290,7 +290,7 @@ class SessionHost:
 
     def __init__(self, *, width: int = 100, height: int = 40,
                  metrics: MetricsRegistry | None = None,
-                 plan_for=None, id_prefix: str = "s", workers: int = 4,
+                 plan_for=None, id_prefix: str = "s",
                  max_live: int | None = None,
                  spool: str | pathlib.Path | None = None) -> None:
         self.width = width
@@ -332,8 +332,7 @@ class SessionHost:
         self._lock = threading.Lock()
         self._next = 1
         self.server = WireServer(metrics=self.metrics,
-                                 session_factory=self._make_session,
-                                 workers=workers)
+                                 session_factory=self._make_session)
 
     # -- accepting connections --------------------------------------------
 
@@ -532,6 +531,9 @@ class SessionHost:
         with self._lock:
             self.sessions.pop(session.id, None)
             self._retired.merge(session.metrics)
+            # a connection can outlive its session: what it books
+            # from now on (the Closed errors it answers) lands here
+            session.metrics = self._retired
         self.metrics.incr("host.sessions.closed")
         if not session._hibernating:
             # truly gone — a hibernating session survives as a spooled

@@ -221,7 +221,7 @@ class ReplicaStandby:
         self.host.server.ship_handler = self._on_ship
         self.host.replica_status = self.status_text
 
-    # -- the ship handler (wire workers; a hang-up on the reactor) -------
+    # -- the ship handler (on the standby's reactor) ----------------------
 
     def _on_ship(self, msg: wire.Tship | None) -> int:
         if msg is not None:

@@ -3,8 +3,8 @@
 One :class:`~repro.serve.SessionHost` scales to one reactor's worth of
 traffic; :class:`ShardRouter` multiplies that by running N independent
 hosts (shards), each with its own :class:`~repro.fs.mux.WireServer`
-reactor, worker pool and session registry.  The router owns nothing
-but the attach decision:
+reactor and session registry.  The router owns nothing but the attach
+decision:
 
 * every connection starts with a Tattach (the protocol requires it).
   The router's own reactor — one selector thread, no thread per
@@ -67,9 +67,8 @@ class ShardRouter:
     """N SessionHost shards, routed by attach name, drained live."""
 
     def __init__(self, shards: int = 4, *, width: int = 100,
-                 height: int = 40, workers: int = 4,
-                 max_live: int | None = None, plan_for=None,
-                 replicate: bool = False) -> None:
+                 height: int = 40, max_live: int | None = None,
+                 plan_for=None, replicate: bool = False) -> None:
         if shards < 1:
             raise ValueError("a router needs at least one shard")
         self.metrics = MetricsRegistry("router")
@@ -77,8 +76,8 @@ class ShardRouter:
         # hold at most shards * max_live resident worlds; plan_for is
         # shared — a fault schedule keys on session id, not placement
         self.hosts = [SessionHost(width=width, height=height,
-                                  id_prefix=f"sh{i}.", workers=workers,
-                                  max_live=max_live, plan_for=plan_for)
+                                  id_prefix=f"sh{i}.", max_live=max_live,
+                                  plan_for=plan_for)
                       for i in range(shards)]
         for host in self.hosts:
             host.directory = self

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import re
 
+from repro.fs.errors import FsError
 from repro.fs.namespace import BindFlag
-from repro.fs.vfs import FsError, basename as _basename, dirname as _dirname, join
+from repro.fs.vfs import basename as _basename, dirname as _dirname, join
 from repro.shell.interp import IO, Interp, diagnostic as _diag
 
 # The paper's screenshots are all dated mid-April 1991; a deterministic

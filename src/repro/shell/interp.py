@@ -17,9 +17,9 @@ import fnmatch
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.fs.errors import diagnostic as fs_diagnostic
+from repro.fs.errors import FsError, diagnostic as fs_diagnostic
 from repro.fs.namespace import Namespace
-from repro.fs.vfs import FsError, join
+from repro.fs.vfs import join
 from repro.metrics.counter import incr
 from repro.shell import ast
 from repro.shell.lexer import Backquote, Fragment, Lit, VarRef

@@ -506,7 +506,7 @@ class LoadGen:
         plans = schedule(self.seed, self.users, models)
         crc = schedule_crc(plans)
         replica = {"replicate": True} if self.chaos else {}
-        target = make_host(self.shards, workers=4, max_live=self.max_live,
+        target = make_host(self.shards, max_live=self.max_live,
                            plan_for=self._plan_for if self.faults else None,
                            **replica)
         if self.chaos:

@@ -345,10 +345,9 @@ def check_wire(name: str, scenario, uses_wire: bool,
 # -- hosted sessions: the building blocks loadgen shares ---------------------
 
 # Ledger entries whose values depend on connection identity (the
-# attach name's length changes frame sizes) or are transient gauges;
-# everything else must match the solo baseline exactly.
+# attach name's length changes frame sizes); everything else must
+# match the solo baseline exactly.
 _UNSTABLE = ("wire.bytes.",)
-_GAUGES = {"mux.inflight"}
 # What a hosted gate reads back, in a fixed order ending with the
 # ledger, so every run's ledger covers exactly the same traffic.
 READS = ("screen", "journal", "metrics")
@@ -430,7 +429,7 @@ def _ledger_of(metrics_text: str) -> dict[str, int]:
     ledger: dict[str, int] = {}
     for line in metrics_text.splitlines():
         name, _, value = line.rpartition(" ")
-        if name.startswith(_UNSTABLE) or name in _GAUGES:
+        if name.startswith(_UNSTABLE):
             continue
         ledger[name] = int(value)
     return ledger
@@ -454,8 +453,7 @@ def check_hosted(scripts: dict[str, dict], transport: str,
                      + [f"sessions{sessions}"] * (not budget)
                      + [f"shards{shards}"] * bool(shards)
                      + [f"budget{budget}"] * bool(budget))
-    target = make_host(shards, workers=max(4, sessions),
-                       max_live=budget or None)
+    target = make_host(shards, max_live=budget or None)
     hosts = hosts_of(target)
     addr = target.listen() if transport == "tcp" else None
     try:

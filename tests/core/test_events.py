@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import Button, Gesture, GestureKind, MouseMachine, Point
+from repro.core.events import Button, GestureKind, MouseMachine, Point
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
 """Event-loop edge cases: split frames, dead clients, slow readers.
 
 The reactor rewrite moved every connection onto one selector thread
-with incremental zero-copy parsing and per-connection write queues;
-these tests pin the failure modes that design must absorb — a frame
-arriving one byte at a time, a client vanishing while its RPC is still
-in a worker, and a reader slow enough to fill the write queue and
-trip backpressure.
+with incremental zero-copy parsing, inline service and per-connection
+write queues; these tests pin the failure modes that design must
+absorb — a frame arriving one byte at a time, a client vanishing while
+its RPC is still running, and a reader slow enough to fill the write
+queue and trip backpressure — and that the reactor is the server's
+one thread.
 """
 
 import socket
@@ -81,8 +82,9 @@ class TestPartialFrames:
 
 class TestDisconnectMidRpc:
     def test_client_disconnect_while_rpc_in_worker(self):
-        """The channel dies while the RPC is still running: the late
-        reply must be swallowed and the connection torn down cleanly."""
+        """The channel dies while the RPC is still running on the
+        reactor: the late reply must be swallowed and the connection
+        torn down cleanly."""
         started = threading.Event()
         gate = threading.Event()
 
@@ -94,7 +96,7 @@ class TestDisconnectMidRpc:
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("slow", read_fn=slow_read)])
         metrics = MetricsRegistry("t")
-        server = WireServer(root, workers=2, metrics=metrics)
+        server = WireServer(root, metrics=metrics)
         client_end, server_end = channel_pair()
         handle = server.serve(server_end)
         try:
@@ -116,7 +118,6 @@ class TestDisconnectMidRpc:
         assert handle.join(timeout=5) is None
         assert not handle.is_alive()
         server.close()
-        assert metrics.counter("mux.inflight") == 0
 
     def test_reply_to_a_hung_up_peer_books_no_error(self):
         """The reactor's send to a peer that already hung up is
@@ -159,6 +160,32 @@ class TestConnectionLifetime:
         client.close()
 
 
+class TestInlineService:
+    def test_serving_three_connections_starts_one_thread(self):
+        """Every request runs on the reactor: a server that serves RPCs
+        on three connections has started one thread, the reactor.  Raw
+        frames, so no client receive thread is counted."""
+        before = set(threading.enumerate())
+        server = WireServer(make_tree().root)
+        try:
+            for _ in range(3):
+                client_end, server_end = channel_pair()
+                server.serve(server_end)
+                client_end.send(b"".join(map(wire.encode, [
+                    wire.Tattach(tag=0, fid=0),
+                    wire.Twalk(tag=1, fid=0, newfid=1, names=["notes.txt"]),
+                    wire.Topen(tag=2, fid=1, mode="r"),
+                    wire.Tread(tag=3, fid=1, count=-1),
+                    wire.Tclunk(tag=4, fid=1)])))
+                reader = FrameReader(client_end)
+                replies = [reader.next_frame() for _ in range(5)]
+                assert replies[3].data == "top note\n"
+            started = set(threading.enumerate()) - before
+            assert sorted(t.name for t in started) == ["wire-reactor"]
+        finally:
+            server.close()
+
+
 class TestSlowReaderBackpressure:
     @pytest.mark.parametrize("transport", ["tcp", "pipe"])
     def test_write_queue_fills_pauses_then_drains(self, transport):
@@ -166,13 +193,13 @@ class TestSlowReaderBackpressure:
         queue past the high-water mark; the reactor stops reading from
         it (recorded as wire.backpressure.paused), then resumes once
         the client drains the queue below low water.  Every reply must
-        still arrive (worker-pool scheduling may reorder tags).  An
-        in-process channel is a socketpair, so it pushes back too."""
+        still arrive, in the order sent.  An in-process channel is a
+        socketpair, so it pushes back too."""
         big = "x" * (512 * 1024)
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("big", read_fn=lambda: big)])
         metrics = MetricsRegistry("t")
-        server = WireServer(root, metrics=metrics, max_outstanding=256)
+        server = WireServer(root, metrics=metrics)
         if transport == "tcp":
             channel = dial(*server.listen())
         else:
@@ -223,7 +250,7 @@ class TestSlowReaderBackpressure:
                 assert reply.data == big
                 got.append(reply.tag)
             sender.join(timeout=10)
-            assert sorted(got) == sorted(sent)
+            assert got == sent
             deadline = time.monotonic() + 10
             while (metrics.counter("wire.backpressure.resumed") == 0
                    and time.monotonic() < deadline):

@@ -6,7 +6,6 @@ from repro.fs import VFS, Namespace
 from repro.proc import (
     Adb,
     CoreImage,
-    Frame,
     ProcessTable,
     Registers,
     SymbolTable,

@@ -25,7 +25,7 @@ from repro.fs.namespace import Namespace
 from repro.fs.vfs import VFS
 from repro.metrics.counter import counters, histograms
 from repro.serve import SessionHost, ShardRouter, input_line
-from repro.serve.replica import ReplicaFeed, ReplicaPair, ReplicaStandby
+from repro.serve.replica import ReplicaPair, ReplicaStandby
 from tests.serve.helpers import wait
 
 

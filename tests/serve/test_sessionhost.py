@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.fs import wire
 from repro.fs.errors import Busy, Closed, Invalid, IOFault, NotFound
 from repro.fs.faults import Fault, FaultPlan
 from repro.fs.mux import MuxClient, dial, mount_remote
@@ -241,6 +242,55 @@ def test_a_parked_read_books_nothing_for_its_caller():
     finally:
         host.close()
     assert caller.counters("fs.error.") == {}
+    assert host.audit() == []
+
+
+def test_an_error_answered_after_the_close_reaches_the_host_ledger():
+    """A connection can outlive its session: the Closed a read on a
+    parked session answers is booked on the host's retired ledger,
+    which drain() folds, so the roll-up sees the error and still
+    balances its opens and closes."""
+    host = SessionHost(max_live=1)
+    try:
+        _a, a_ns = _attach(host, "a")
+        a_ns.read("/s/screen")
+        _b, _b_ns = _attach(host, "b")
+        assert "a" in host.hibernated
+        with pytest.raises(Closed):
+            a_ns.read("/s/screen")
+    finally:
+        host.close()
+    total = host.drain(into=MetricsRegistry("roll-up"))
+    assert total.counters("fs.error.") == {"fs.error.closed": 1}
+    assert total.counter("fs.open") == total.counter("fs.close")
+    assert host.audit() == []
+
+
+def test_ops_behind_a_close_in_one_chain_reach_the_host_ledger():
+    """A chain that hibernates its own session and then reads on: the
+    ops served after the close book on the host's retired ledger too,
+    so drain() counts every op the connection was served."""
+    host = SessionHost()
+    try:
+        with MuxClient(host.pipe(), aname="a") as client:
+            ctl, own = client.alloc_fid(), client.alloc_fid()
+            replies = client.batch([
+                wire.Twalk(fid=0, newfid=ctl, names=["srv", "sessions"]),
+                wire.Topen(fid=ctl, mode="w"),
+                wire.Twrite(fid=ctl, data="hibernate a\n"),
+                wire.Tclunk(fid=ctl),
+                wire.Twalk(fid=0, newfid=own, names=["id"]),
+                wire.Topen(fid=own, mode="r"),
+                wire.Tread(fid=own),
+                wire.Tclunk(fid=own)])
+            assert replies[6].kind == "closed"
+    finally:
+        host.close()
+    total = host.drain(into=MetricsRegistry("roll-up"))
+    assert total.counters("wire.rpc.") == {
+        "wire.rpc.attach": 1, "wire.rpc.walk": 2, "wire.rpc.open": 2,
+        "wire.rpc.write": 1, "wire.rpc.read": 1, "wire.rpc.clunk": 2}
+    assert total.counters("fs.error.") == {"fs.error.closed": 1}
     assert host.audit() == []
 
 

